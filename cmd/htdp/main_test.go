@@ -379,12 +379,22 @@ func TestBenchJSONMode(t *testing.T) {
 		t.Fatalf("missing confirmation:\n%s", buf.String())
 	}
 
-	// Gate against itself: identical reports pass...
+	// Gate against a copy of the report made 10x slower: a fresh timing
+	// must pass. An untouched copy would make this path timing-dependent
+	// (on a loaded machine a second timing has come out 1.3x the first);
+	// a tenfold margin does not...
+	lenient := rep
+	lenient.Results = []benchio.Result{rep.Results[0]}
+	lenient.Results[0].NsPerOp *= 10
+	lenientPath := filepath.Join(dir, "BENCH_lenient.json")
+	if err := benchio.WriteFile(lenientPath, lenient); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if err := run([]string{"-benchjson", filepath.Join(dir, "BENCH_again.json"),
 		"-benchfilter", "^kernel:robust-term$", "-benchrounds", "1",
-		"-benchcmp", out}, &buf); err != nil {
-		t.Fatalf("self-comparison failed: %v\n%s", err, buf.String())
+		"-benchcmp", lenientPath}, &buf); err != nil {
+		t.Fatalf("comparison against a 10x-slower baseline failed: %v\n%s", err, buf.String())
 	}
 	// ...while a doctored 10x-faster baseline fails the gate.
 	rep.Results[0].NsPerOp /= 10

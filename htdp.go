@@ -219,7 +219,7 @@ func EmpiricalRiskSource(l Loss, w []float64, src Source) (float64, error) {
 }
 
 // ExcessRiskSource evaluates EmpiricalRiskSource(w) −
-// EmpiricalRiskSource(ref) in two streaming passes.
+// EmpiricalRiskSource(ref) in one streaming pass.
 func ExcessRiskSource(l Loss, w, ref []float64, src Source) (float64, error) {
 	return loss.ExcessRiskSource(l, w, ref, src, 0)
 }

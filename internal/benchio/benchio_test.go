@@ -111,7 +111,7 @@ func TestRunRejectsBadFilter(t *testing.T) {
 
 func TestRegistryHasFiguresAndKernels(t *testing.T) {
 	names := Names()
-	want := []string{"fig:fig1", "fig:fig11", "fig:lowerbound", "kernel:catoni-chunk-seq",
+	want := []string{"fig:fig1", "fig:fig11", "fig:lowerbound", "data:gen-chunk", "data:gen-rowat", "kernel:catoni-chunk-seq",
 		"kernel:expmech-l1", "kernel:fw-run-par", "kernel:matvec", "kernel:peeling"}
 	have := make(map[string]bool, len(names))
 	for _, n := range names {

@@ -44,6 +44,9 @@ func init() {
 		})
 	}
 
+	Register("data:gen-chunk", benchGenChunk)
+	Register("data:gen-rowat", benchGenRowAt)
+
 	Register("sweep:streaming-batched", benchSweepPasses(false))
 	Register("sweep:streaming-pointwise", benchSweepPasses(true))
 
@@ -98,6 +101,49 @@ func benchSweepPasses(pointwise bool) func(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(opens.Load())/float64(b.N), "passes/op")
+	}
+}
+
+// genDemoLinear is cmd/htdp's built-in demo-linear dataset: 2000 rows
+// of 100 log-normal features (the §6 workload shape) behind a GenSource.
+func genDemoLinear() *data.GenSource {
+	return data.LinearSource(1, data.LinearOpt{
+		N: 2000, D: 100,
+		Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
+		Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
+	})
+}
+
+// benchGenChunk regenerates all of demo-linear as the single chunk a
+// full-data streaming pass reads (StreamChunks(2000) = 1) and reports
+// the per-row cost as ns/row. Its allocations — the chunk's storage and
+// one RNG re-seeded per row — do not grow with the row count.
+func benchGenChunk(b *testing.B) {
+	g := genDemoLinear()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Chunk(0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.N()), "ns/row")
+}
+
+// benchGenRowAt regenerates one demo-linear row per op into a reused
+// buffer, at scattered indices like DPSGD's minibatch draws. Once the
+// handle's RNG exists a row allocates nothing.
+func benchGenRowAt(b *testing.B) {
+	g := genDemoLinear()
+	buf := make([]float64, g.D())
+	if _, _, err := g.RowAt(0, buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := g.RowAt(i*7919%g.N(), buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -97,3 +97,45 @@ func TestShrinkSourceBufferReuse(t *testing.T) {
 	lo, hi := ChunkBounds(1, 3, 90)
 	sameDataset(t, b, want.Subset(lo, hi), "recycled shrunk chunk")
 }
+
+// TestGenSourceChunkAllocsFlat: a generated chunk re-seeds one RNG per
+// call instead of constructing one per row, so its allocation count —
+// the chunk's storage plus that RNG — is the same at 8 rows as at 256.
+func TestGenSourceChunkAllocsFlat(t *testing.T) {
+	g := LinearSource(4, testLinearOpt(256, 6))
+	allocs := func(T int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := g.Chunk(0, T); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, full := allocs(32), allocs(1)
+	if small != full {
+		t.Fatalf("Chunk allocates %v at 8 rows but %v at 256 rows", small, full)
+	}
+}
+
+// TestGenSourceRowAtZeroAllocs: after its first call a handle's RowAt
+// re-seeds the handle's own RNG into the caller's buffer, so a
+// generated row allocates nothing; a clone starts with an RNG of its
+// own rather than sharing the original's.
+func TestGenSourceRowAtZeroAllocs(t *testing.T) {
+	g := LinearSource(5, testLinearOpt(300, 7))
+	buf := make([]float64, 7)
+	if _, _, err := g.RowAt(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 37) % 300
+		if _, _, err := g.RowAt(i, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("RowAt allocates %v per row after warm-up", allocs)
+	}
+	if c := g.Clone(); c.rng != nil {
+		t.Fatal("Clone shares the original's RowAt RNG")
+	}
+}

@@ -21,39 +21,66 @@ import (
 // over the source, streaming one chunk at a time. workers resolves as
 // everywhere (0 → GOMAXPROCS, 1 → sequential).
 func EmpiricalSource(l Loss, w []float64, src data.Source, workers int) (float64, error) {
+	risks, err := EmpiricalSourceMulti(l, [][]float64{w}, src, workers)
+	if err != nil {
+		return 0, err
+	}
+	return risks[0], nil
+}
+
+// EmpiricalSourceMulti returns the empirical risk at every parameter
+// vector of ws from a single streaming pass: the pass shares each
+// chunk read, while every vector's sum is taken shard by shard and
+// chunk by chunk in the one fixed order, so risks[j] is what
+// EmpiricalSource(l, ws[j], src, workers) returns, bit for bit. A
+// run's risk at its estimate and at a reference then reads the data
+// once instead of twice.
+func EmpiricalSourceMulti(l Loss, ws [][]float64, src data.Source, workers int) ([]float64, error) {
+	risks := make([]float64, len(ws))
 	n := src.N()
 	if n < 1 {
-		return 0, nil
+		return risks, nil
 	}
-	var sum float64
+	k := len(ws)
+	var part []float64 // shard s's partial sum at ws[j] is part[s·k+j]
 	err := data.EachChunk(src, data.StreamChunks(n), func(_ int, ck *data.Dataset) error {
-		sum += parallel.ReduceFloat(workers, ck.N(), func(_, lo, hi int) float64 {
-			var p float64
-			for i := lo; i < hi; i++ {
-				p += l.Value(w, ck.X.Row(i), ck.Y[i])
+		shards := parallel.NumShards(ck.N())
+		part = growFloats(part, shards*k)
+		parallel.For(workers, ck.N(), func(shard, lo, hi int) {
+			for j, w := range ws {
+				var p float64
+				for i := lo; i < hi; i++ {
+					p += l.Value(w, ck.X.Row(i), ck.Y[i])
+				}
+				part[shard*k+j] = p
 			}
-			return p
 		})
+		for j := range risks {
+			var sum float64
+			for s := 0; s < shards; s++ {
+				sum += part[s*k+j]
+			}
+			risks[j] += sum
+		}
 		return nil
 	})
 	if err != nil {
-		return 0, fmt.Errorf("loss: EmpiricalSource: %w", err)
+		return nil, fmt.Errorf("loss: EmpiricalSource: %w", err)
 	}
-	return sum / float64(n), nil
+	for j := range risks {
+		risks[j] /= float64(n)
+	}
+	return risks, nil
 }
 
 // ExcessRiskSource returns EmpiricalSource(w) − EmpiricalSource(ref),
-// the §6 measurement, in two streaming passes.
+// the §6 measurement, in one streaming pass.
 func ExcessRiskSource(l Loss, w, ref []float64, src data.Source, workers int) (float64, error) {
-	rw, err := EmpiricalSource(l, w, src, workers)
+	risks, err := EmpiricalSourceMulti(l, [][]float64{w, ref}, src, workers)
 	if err != nil {
 		return 0, err
 	}
-	rr, err := EmpiricalSource(l, ref, src, workers)
-	if err != nil {
-		return 0, err
-	}
-	return rw - rr, nil
+	return risks[0] - risks[1], nil
 }
 
 // FullGradientSource writes the empirical-risk gradient

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"htdp/internal/data"
+	"htdp/internal/parallel"
 	"htdp/internal/randx"
 )
 
@@ -85,4 +86,80 @@ func TestExcessRiskSource(t *testing.T) {
 	if got >= 0 {
 		t.Fatalf("w* should beat the zero vector on its own data, got excess %v", got)
 	}
+}
+
+// chunkOrderRisk is the reference summation order of the streaming risk:
+// per chunk, one parallel.ReduceFloat over the chunk's rows, chunk sums
+// added in chunk order, divided by n at the end.
+func chunkOrderRisk(t *testing.T, l Loss, w []float64, src data.Source, workers int) float64 {
+	t.Helper()
+	var sum float64
+	if err := data.EachChunk(src, data.StreamChunks(src.N()), func(_ int, ck *data.Dataset) error {
+		sum += parallel.ReduceFloat(workers, ck.N(), func(_, lo, hi int) float64 {
+			var p float64
+			for i := lo; i < hi; i++ {
+				p += l.Value(w, ck.X.Row(i), ck.Y[i])
+			}
+			return p
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sum / float64(src.N())
+}
+
+// TestEmpiricalSourceMultiOnePass: the multi-vector pass reads every
+// chunk exactly once and returns, for each vector, the reference
+// chunk-order risk bit for bit — over several chunks and at every
+// worker count — and EmpiricalSource and ExcessRiskSource agree with it.
+// The heavy tails spread the per-row losses over orders of magnitude,
+// so a change to any level of the summation order changes the bits.
+func TestEmpiricalSourceMultiOnePass(t *testing.T) {
+	const n, d = 2*data.StreamRows + 300, 4
+	full := data.LinearSource(22, data.LinearOpt{
+		N: n, D: d,
+		Feature: randx.LogNormal{Mu: 0, Sigma: 2},
+		Noise:   randx.StudentT{Nu: 2},
+	}).Materialize()
+	zero := make([]float64, d)
+	ws := [][]float64{full.WStar, zero, {0.3, -0.2, 0.1, 0.05}}
+	for _, workers := range []int{1, 3, 0} {
+		src := &chunkCounter{Source: data.NewMemSource(full)}
+		got, err := EmpiricalSourceMulti(Squared{}, ws, src, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := data.StreamChunks(n); src.chunks != want {
+			t.Fatalf("workers=%d: %d chunk reads, want one pass of %d", workers, src.chunks, want)
+		}
+		for j, w := range ws {
+			want := chunkOrderRisk(t, Squared{}, w, data.NewMemSource(full), workers)
+			if got[j] != want {
+				t.Fatalf("workers=%d vector %d: %v, want bit-identical %v", workers, j, got[j], want)
+			}
+			single, err := EmpiricalSource(Squared{}, w, data.NewMemSource(full), workers)
+			if err != nil || single != want {
+				t.Fatalf("workers=%d vector %d: EmpiricalSource %v (%v), want %v", workers, j, single, err, want)
+			}
+		}
+		excess, err := ExcessRiskSource(Squared{}, ws[0], ws[1], data.NewMemSource(full), workers)
+		if err != nil || excess != got[0]-got[1] {
+			t.Fatalf("workers=%d: ExcessRiskSource %v (%v), want %v", workers, excess, err, got[0]-got[1])
+		}
+	}
+	if got, err := EmpiricalSourceMulti(Squared{}, nil, data.NewMemSource(full), 0); err != nil || len(got) != 0 {
+		t.Fatalf("no vectors: %v, %v", got, err)
+	}
+}
+
+// chunkCounter counts the Chunk calls reaching the source it wraps.
+type chunkCounter struct {
+	data.Source
+	chunks int
+}
+
+func (c *chunkCounter) Chunk(t, T int) (*data.Dataset, error) {
+	c.chunks++
+	return c.Source.Chunk(t, T)
 }

@@ -16,15 +16,19 @@ import (
 
 // RNG wraps math/rand with deterministic splitting so that parallel
 // trials and per-coordinate streams are reproducible regardless of
-// scheduling. It is not safe for concurrent use; Split off one RNG per
-// goroutine instead.
+// scheduling. Its generator is source: math/rand's, output for output,
+// with a faster Seed. It is not safe for concurrent use; Split off one
+// RNG per goroutine instead.
 type RNG struct {
 	src *rand.Rand
 }
 
-// New returns an RNG seeded deterministically.
+// New returns an RNG seeded deterministically: the stream
+// rand.New(rand.NewSource(seed)) produces.
 func New(seed int64) *RNG {
-	return &RNG{src: rand.New(rand.NewSource(seed))}
+	s := new(source)
+	s.Seed(seed)
+	return &RNG{src: rand.New(s)}
 }
 
 // Split derives an independent child stream. Children produced from the

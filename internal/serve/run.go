@@ -139,8 +139,8 @@ func (q RunRequest) Canonical() (RunRequest, error) {
 // RunResult is the response of POST /v1/run (and of GET /v1/results/{id}
 // for async runs): the estimate and its summary statistics. Risk and
 // RiskZero are squared-loss empirical risks of the estimate and of the
-// zero vector, measured by the streaming evaluator — the same numbers
-// cmd/htdp -stream prints.
+// zero vector, measured together in one pass by the streaming evaluator
+// — the same numbers cmd/htdp -stream prints.
 type RunResult struct {
 	Dataset  string    `json:"dataset"`
 	Algo     string    `json:"algo"`
@@ -165,7 +165,7 @@ type RunResult struct {
 //
 // ctx carries cooperative cancellation: the source is wrapped so every
 // chunk read checks it, which is the granularity at which all four
-// algorithms (and the risk evaluators) observe a cancel. A cancelled
+// algorithms (and the risk pass) observe a cancel. A cancelled
 // run returns the context's cause; an uncancelled run is bit-identical
 // under any context, including context.Background().
 func ExecuteRun(ctx context.Context, src data.Source, q RunRequest) (*RunResult, error) {
@@ -212,18 +212,14 @@ func ExecuteRun(ctx context.Context, src data.Source, q RunRequest) (*RunResult,
 	if err != nil {
 		return nil, err
 	}
-	risk, err := loss.EmpiricalSource(loss.Squared{}, w, src, par)
-	if err != nil {
-		return nil, err
-	}
-	risk0, err := loss.EmpiricalSource(loss.Squared{}, make([]float64, d), src, par)
+	risks, err := loss.EmpiricalSourceMulti(loss.Squared{}, [][]float64{w, make([]float64, d)}, src, par)
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
 		Dataset: q.Dataset, Algo: q.Algo, N: n, D: d,
 		Eps: q.Eps, Delta: delta, Seed: q.Seed,
-		Risk: risk, RiskZero: risk0,
+		Risk: risks[0], RiskZero: risks[1],
 		Norm1: vecmath.Norm1(w), NNZ: vecmath.Norm0(w), W: w,
 	}, nil
 }

@@ -475,8 +475,11 @@ func (s *scheduler) runJob(j *job) {
 	stopTimer()
 	cancel(nil)
 	finishedAt := s.now()
-	j.finish(result, err, cause, finishedAt)
+	// Finish and count under one hold of s.mu, so a shutdown begun by a
+	// waiter that already has the result never tallies this job as
+	// drained. (s.mu before j.mu, the order counts() nests them in.)
 	s.mu.Lock()
+	j.finish(result, err, cause, finishedAt)
 	s.noteFinishedLocked(finishedAt)
 	if s.closed {
 		// This job was in flight when shutdown began; record whether it
@@ -495,6 +498,10 @@ func (s *scheduler) runJob(j *job) {
 // shutdown if one is in progress.
 func (s *scheduler) finishCancelled(j *job, cause error) {
 	finishedAt := s.now()
+	// s.mu before j.mu, the order counts() nests them in; held until
+	// the job is counted, as in runJob.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
 	if j.state != jobQueued {
 		j.mu.Unlock()
@@ -505,14 +512,10 @@ func (s *scheduler) finishCancelled(j *job, cause error) {
 	j.finishedAt = finishedAt
 	j.mu.Unlock()
 	close(j.done)
-	// s.mu strictly after j.mu is released: counts() nests the locks
-	// the other way around (s.mu, then each j.mu).
-	s.mu.Lock()
 	s.noteFinishedLocked(finishedAt)
 	if s.closed {
 		s.shutdownCancelled++
 	}
-	s.mu.Unlock()
 }
 
 // removeQueued takes a still-waiting job out of its tenant's queue, so

@@ -862,6 +862,10 @@ func TestDiskTierCrashRestartRoundTrip(t *testing.T) {
 	}
 	ts1.Close()
 	close(release) // let the abandoned scheduler goroutines exit
+	// The abandoned worker goes on to run the queued sweep and writes
+	// its result into dir; stop it before t.TempDir's cleanup removes
+	// dir, or the write can race the removal ("directory not empty").
+	t.Cleanup(srv1.Close)
 
 	srv2, err := New(pool, Options{CacheDir: dir, NoAuth: true})
 	if err != nil {
