@@ -360,8 +360,9 @@ func runStream(w io.Writer, o streamOpts) error {
 // buildServePool assembles the -serve dataset pool: two built-in
 // generator-backed demo datasets (so a bare `htdp -serve :8080` answers
 // requests immediately), the -stream CSV under its basename, and every
-// -dataset name=path CSV. CSV entries are indexed once here; requests
-// share the index through per-request Reopen handles.
+// -dataset name=path CSV. CSV entries are indexed once here and
+// decoded by the pool on their first request; past the pool's budget,
+// requests share the index through per-request Reopen handles.
 func buildServePool(streamPath string, datasets []string, labelCol int, header bool) (*data.SourcePool, error) {
 	pool := data.NewSourcePool()
 	if _, err := pool.RegisterGen("demo-linear", demoLinearSource()); err != nil {

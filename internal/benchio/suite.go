@@ -2,6 +2,8 @@ package benchio
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -46,6 +48,8 @@ func init() {
 
 	Register("data:gen-chunk", benchGenChunk)
 	Register("data:gen-rowat", benchGenRowAt)
+	Register("data:pool-csv-pass", benchPoolCSVPass)
+	Register("data:pool-csv-rowat", benchPoolCSVRowAt)
 
 	Register("sweep:streaming-batched", benchSweepPasses(false))
 	Register("sweep:streaming-pointwise", benchSweepPasses(true))
@@ -142,6 +146,85 @@ func benchGenRowAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := g.RowAt(i*7919%g.N(), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// poolHeavy writes a CSV of perfbench's heavy shape — 9000 rows of 40
+// log-normal features, more rows than one streaming chunk — into the
+// benchmark's temp dir and registers it as "heavy" in a fresh pool,
+// closed when the benchmark ends.
+func poolHeavy(b *testing.B) *data.SourcePool {
+	ds := data.LinearSource(5, data.LinearOpt{
+		N: 9000, D: 40,
+		Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
+		Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
+	}).Materialize()
+	path := filepath.Join(b.TempDir(), "heavy.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := data.WriteCSV(f, ds); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	p := data.NewSourcePool()
+	b.Cleanup(func() { p.Close() })
+	if _, err := p.RegisterCSV("heavy", path, -1, false); err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// poolPass is one served request's full-data pass: Acquire the pooled
+// dataset, read it in StreamChunks(n) chunks, Close the handle.
+func poolPass(p *data.SourcePool) error {
+	src, err := p.Acquire("heavy")
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	return data.EachChunk(src, data.StreamChunks(src.N()), func(int, *data.Dataset) error { return nil })
+}
+
+// benchPoolCSVPass measures poolPass over the pooled heavy CSV after
+// one warm-up pass, reported per row as ns/row. A decoded entry serves
+// the pass as views over its resident rows; a streaming one parses
+// every row of the file again.
+func benchPoolCSVPass(b *testing.B) {
+	p := poolHeavy(b)
+	if err := poolPass(p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := poolPass(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*9000), "ns/row")
+}
+
+// benchPoolCSVRowAt reads one scattered row per op from a pooled handle
+// over the heavy CSV, DPSGD's minibatch access pattern. The handle is
+// acquired, and so the entry decoded, before the timer.
+func benchPoolCSVRowAt(b *testing.B) {
+	p := poolHeavy(b)
+	src, err := p.Acquire("heavy")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	buf := make([]float64, src.D())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := src.RowAt(i*7919%src.N(), buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,23 +40,45 @@ func chunkRows(t *testing.T, src Source, T int) (x [][]float64, y []float64) {
 }
 
 // rowAtBackends builds every Source implementation over the same rows:
-// the three backends, a shrink wrapper, and a live context wrapper.
+// the three backends, a shrink wrapper, a live context wrapper, and
+// the decoded CSV and generator handles of a SourcePool.
 func rowAtBackends(t *testing.T, n, d int) map[string]Source {
 	t.Helper()
 	gen := LinearSource(31, testLinearOpt(n, d))
 	ds := gen.Materialize()
-	csv, err := OpenCSV(writeTempCSV(t, ds), "rowat", -1, false)
+	path := writeTempCSV(t, ds)
+	csv, err := OpenCSV(path, "rowat", -1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { csv.Close() })
-	return map[string]Source{
+	pool := NewSourcePool()
+	t.Cleanup(func() { pool.Close() })
+	if _, err := pool.RegisterCSV("csv", path, -1, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.RegisterGen("gen", gen.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]Source{
 		"mem":    NewMemSource(ds),
 		"gen":    gen,
 		"csv":    csv,
 		"shrink": ShrinkSource(LinearSource(31, testLinearOpt(n, d)), 2.5),
 		"ctx":    WithContext(context.Background(), NewMemSource(ds)),
 	}
+	for _, name := range []string{"csv", "gen"} {
+		h, err := pool.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := h.(*MemSource); !ok {
+			t.Fatalf("pooled %s handle is %T, want a decoded *MemSource", name, h)
+		}
+		t.Cleanup(func() { h.Close() })
+		backends["pool-"+name] = h
+	}
+	return backends
 }
 
 func checkRowsEqual(t *testing.T, ctx string, gotX []float64, gotY float64, wantX []float64, wantY float64) {
@@ -170,34 +192,45 @@ func TestRowAtAfterReopenClone(t *testing.T) {
 }
 
 // TestRowAtPoolConcurrent races shuffled RowAt passes over concurrently
-// acquired pool handles of every kind against the chunk-materialized
-// reference. Handles share immutable state only (the CSV offset index,
-// the gen seed), so -race failures here mean the sharing leaked.
+// acquired pool handles of every kind — decoded and streaming — against
+// the chunk-materialized reference. Handles share immutable state only
+// (the decoded rows, the CSV offset index, the gen seed), so -race
+// failures here mean the sharing leaked.
 func TestRowAtPoolConcurrent(t *testing.T) {
 	const n, d = 600, 5
 	gen := LinearSource(35, testLinearOpt(n, d))
 	ds := gen.Materialize()
 	path := writeTempCSV(t, ds)
-	pool := NewSourcePool()
-	if _, err := pool.RegisterCSV("csv", path, -1, false); err != nil {
-		t.Fatal(err)
+	resident, streaming := NewSourcePool(), streamingPool()
+	for _, pool := range []*SourcePool{resident, streaming} {
+		if _, err := pool.RegisterCSV("csv", path, -1, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.RegisterGen("gen", gen); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.RegisterMem("mem", ds); err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
 	}
-	if _, err := pool.RegisterGen("gen", gen); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.RegisterMem("mem", ds); err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
 	wantX, wantY := chunkRows(t, NewMemSource(ds), 6)
+	handles := []struct {
+		pool *SourcePool
+		name string
+	}{
+		{resident, "mem"}, {resident, "gen"}, {resident, "csv"},
+		{streaming, "gen"}, {streaming, "csv"},
+	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 2*len(handles); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			name := []string{"mem", "gen", "csv"}[w%3]
-			h, err := pool.Acquire(name)
+			hc := handles[w%len(handles)]
+			name := hc.name
+			h, err := hc.pool.Acquire(name)
 			if err != nil {
 				t.Error(err)
 				return

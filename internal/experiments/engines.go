@@ -221,12 +221,6 @@ func sweepPointwise(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]flo
 	return results, nil
 }
 
-// maxSharedBytes bounds the rows a trialCtx will hold resident to share
-// one data pass across grid points (256 MiB of float64s). Beyond it the
-// trial falls back to re-reading the source per point — slower, never
-// different: the shared source is seed-invariant either way.
-const maxSharedBytes = 256 << 20
-
 // trialCtx is the per-trial shared state of the batched engine: one
 // instance spans all grid points of one rep (sweepBatched) or exactly
 // one point (sweepPointwise). Its only current cargo is the
@@ -266,8 +260,10 @@ func (tc *trialCtx) openSource(open func(seed int64) (data.Source, error), seed 
 		if err != nil {
 			return nil, err
 		}
-		if int64(src.N())*int64(src.D()+1)*8 > maxSharedBytes {
-			// Too large to hold; stream this point directly.
+		if int64(src.N())*int64(src.D()+1)*8 > data.MaxResidentBytes {
+			// Too large to hold; stream this point directly. Beyond the
+			// bound the trial re-reads the source per point — slower,
+			// never different: the shared source is seed-invariant.
 			return data.WithContext(ctx, src), nil
 		}
 		ds, err := data.Materialize(data.WithContext(ctx, src))

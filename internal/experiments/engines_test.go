@@ -127,7 +127,7 @@ func TestRunSweepTrialError(t *testing.T) {
 	}
 }
 
-// hugeSource pretends to hold more rows than maxSharedBytes allows
+// hugeSource pretends to hold more rows than data.MaxResidentBytes allows
 // resident, without allocating them.
 type hugeSource struct {
 	data.Source

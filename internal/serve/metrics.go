@@ -58,7 +58,7 @@ type tenantStats struct {
 // write renders the exposition text. Lines are emitted in sorted label
 // order so scrapes are stable. OPERATIONS.md documents every series
 // and its alerting hints.
-func (m *metrics) write(w io.Writer, st storeStats, coalesced int64, jobs map[string]int, expired int64, datasets int, shutdownDrained, shutdownCancelled int64, tenants tenantStats) {
+func (m *metrics) write(w io.Writer, st storeStats, coalesced int64, jobs map[string]int, expired int64, datasets int, poolBytes int64, shutdownDrained, shutdownCancelled int64, tenants tenantStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -154,6 +154,8 @@ func (m *metrics) write(w io.Writer, st storeStats, coalesced int64, jobs map[st
 
 	fmt.Fprintln(w, "# TYPE htdp_pool_datasets gauge")
 	fmt.Fprintf(w, "htdp_pool_datasets %d\n", datasets)
+	fmt.Fprintln(w, "# TYPE htdp_pool_resident_bytes gauge")
+	fmt.Fprintf(w, "htdp_pool_resident_bytes %d\n", poolBytes)
 }
 
 // sortedKeys returns a map's keys in sorted order for stable scrapes.

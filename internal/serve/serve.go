@@ -462,7 +462,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ts.requests, ts.throttled, ts.cancelled = s.tmet.snapshot()
 	ts.queued, ts.running = s.sched.tenantCounts()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.store.stats(), s.flight.coalescedCount(), jobs, expired, len(s.pool.List()), drained, cancelled, ts)
+	s.met.write(w, s.store.stats(), s.flight.coalescedCount(), jobs, expired, len(s.pool.List()), s.pool.ResidentBytes(), drained, cancelled, ts)
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -488,10 +488,11 @@ func (s *Server) handleDatasetsList(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasetsUpload registers the CSV request body as an in-memory
 // pooled dataset: ?name= (required), ?labelcol= (default -1),
-// ?header= (default false). Uploads materialize in memory; datasets
-// larger than that should be registered as CSV paths at startup
-// (cmd/htdp -serve -dataset name=path), which streams chunks from disk
-// instead.
+// ?header= (default false). Uploads materialize in memory and are
+// bounded by Options.MaxUploadBytes; larger datasets should be
+// registered as CSV paths at startup (cmd/htdp -serve -dataset
+// name=path), which the pool decodes once into memory while the rows
+// fit its 256 MiB budget and streams from disk beyond it.
 func (s *Server) handleDatasetsUpload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {

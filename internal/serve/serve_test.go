@@ -595,6 +595,59 @@ func TestSweepFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// TestRunAfterDecodedCSVDeleted: the pool decodes a CSV entry on its
+// first request and never reads the file again, so a fresh-seed run
+// after the file is deleted still answers 200, with the bytes
+// ExecuteRun gives over the same rows in memory. The decoded rows show
+// on the htdp_pool_resident_bytes gauge. (Deleting the file before the
+// first request still fails it: TestSweepFailureKeepsServing.)
+func TestRunAfterDecodedCSVDeleted(t *testing.T) {
+	ts, _, path := newTestServer(t, Options{})
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := data.ReadCSV(f, "csv", -1, false)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(want string) {
+		t.Helper()
+		if _, m := get(t, ts.URL+"/metrics"); !strings.Contains(string(m), "\nhtdp_pool_resident_bytes "+want+"\n") {
+			t.Fatalf("metrics lack htdp_pool_resident_bytes %s:\n%s", want, m)
+		}
+	}
+	gauge("0")
+	if code, _, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Dataset: "csv", Algo: "fw", Eps: 2, Seed: 3, T: 5}); code != 200 {
+		t.Fatalf("first run = %d %q", code, body)
+	}
+	gauge(fmt.Sprint(rows.N() * (rows.D() + 1) * 8))
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	q := RunRequest{Dataset: "csv", Algo: "fw", Eps: 2, Seed: 4, T: 5}
+	code, hdr, body := postJSON(t, ts.URL+"/v1/run", q)
+	if code != 200 {
+		t.Fatalf("run after the file was deleted = %d %q", code, body)
+	}
+	if hdr.Get("X-Htdp-Cache") != "miss" {
+		t.Fatalf("fresh-seed run cache header = %q, want miss", hdr.Get("X-Htdp-Cache"))
+	}
+	res, err := ExecuteRun(context.Background(), data.NewMemSource(rows), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Fatalf("served bytes differ from ExecuteRun over the rows in memory:\n got %q\nwant %q", body, want)
+	}
+}
+
 func TestSchedulerBackpressure(t *testing.T) {
 	s := newScheduler(1, 1, 0, 0, 0)
 	defer s.close(context.Background())
