@@ -37,8 +37,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Extra carries custom b.ReportMetric measurements (the sweep
-	// benchmarks report passes/op — data reads per sweep). Recorded in
-	// the trajectory for inspection; Compare does not gate on it.
+	// benchmark reports passes/op and trials/op — data reads and trials
+	// per sweep). Recorded in the trajectory for inspection; Compare
+	// does not gate on it.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 

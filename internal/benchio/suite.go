@@ -51,8 +51,7 @@ func init() {
 	Register("data:pool-csv-pass", benchPoolCSVPass)
 	Register("data:pool-csv-rowat", benchPoolCSVRowAt)
 
-	Register("sweep:streaming-batched", benchSweepPasses(false))
-	Register("sweep:streaming-pointwise", benchSweepPasses(true))
+	Register("sweep:streaming-batched", benchSweepPasses)
 
 	Register("kernel:robust-term", benchRobustTerm)
 	Register("kernel:catoni-chunk-seq", benchCatoniChunk(1))
@@ -68,44 +67,44 @@ func init() {
 
 // benchSweepPasses measures how many times one full "streaming" sweep
 // opens its (seed-invariant) data source — data passes, reported as
-// passes/op next to the usual ns/op. The batched engine reads once per
-// (rep, series): passes/op stays flat as the grid widens. The pointwise
-// reference reads once per (point, rep, series): passes/op is the
-// batched count times the grid width. The pair is the measured form of
+// passes/op next to the usual ns/op — against the trials it evaluates,
+// reported as trials/op (grid points × reps, summed over the returned
+// series). The engine reads once per (rep, series), so passes/op stays
+// flat as the grid widens while trials/op grows with it; a per-point
+// engine would read once per trial. The pair is the measured form of
 // the O(panels) → O(1) claim in DESIGN.md's "Batched sweeps".
-func benchSweepPasses(pointwise bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		spec, err := experiments.Lookup("streaming")
-		if err != nil {
+func benchSweepPasses(b *testing.B) {
+	spec, err := experiments.Lookup("streaming")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var opens atomic.Int64
+	cfg := figCfg
+	cfg.Source = func(int64) (data.Source, error) {
+		opens.Add(1)
+		return data.LinearSource(9, data.LinearOpt{
+			N: 500, D: 20,
+			Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
+			Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
+		}), nil
+	}
+	cfg.SharedSource = true
+	var panels []experiments.Panel
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if panels, err = spec.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		var opens atomic.Int64
-		cfg := figCfg
-		cfg.Source = func(int64) (data.Source, error) {
-			opens.Add(1)
-			return data.LinearSource(9, data.LinearOpt{
-				N: 500, D: 20,
-				Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
-				Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
-			}), nil
-		}
-		cfg.SharedSource = true
-		run := func() {
-			if _, err := spec.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if pointwise {
-				experiments.WithPointwiseEngine(run)
-			} else {
-				run()
-			}
-		}
-		b.ReportMetric(float64(opens.Load())/float64(b.N), "passes/op")
 	}
+	trials := 0
+	for _, p := range panels {
+		for _, s := range p.Series {
+			trials += len(s.X) * cfg.Reps
+		}
+	}
+	b.ReportMetric(float64(opens.Load())/float64(b.N), "passes/op")
+	b.ReportMetric(float64(trials), "trials/op")
 }
 
 // genDemoLinear is cmd/htdp's built-in demo-linear dataset: 2000 rows

@@ -9,44 +9,34 @@ import (
 	"htdp/internal/randx"
 )
 
-// TestSweepCancellation: a context cancelled mid-sweep stops both
-// engines within one grid point per worker, the error is the context's
-// cause (not whatever trial errors raced with it), and a cancelled
-// sweep — like a failed one — returns no results.
+// TestSweepCancellation: a context cancelled mid-sweep stops the engine
+// within one grid point per worker, the error is the context's cause
+// (not whatever trial errors raced with it), and a cancelled sweep —
+// like a failed one — returns no results.
 func TestSweepCancellation(t *testing.T) {
-	for _, engine := range []struct {
-		name string
-		run  func(func())
-	}{
-		{"batched", func(fn func()) { fn() }},
-		{"pointwise", WithPointwiseEngine},
-	} {
-		engine.run(func() {
-			cause := errors.New("cancelled by test")
-			ctx, cancel := context.WithCancelCause(context.Background())
-			cfg, err := Config{Reps: 8, Scale: 0.1, Seed: 1, Parallelism: 2, Ctx: ctx}.withDefaults()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var trials atomic.Int64
-			f := func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
-				if trials.Add(1) == 2 {
-					cancel(cause) // cancel from inside the sweep, mid-flight
-				}
-				return x, nil
-			}
-			_, err = sweep(cfg, "s", []float64{1, 2, 3, 4}, 0, f)
-			if err == nil {
-				t.Fatalf("%s: cancelled sweep returned results", engine.name)
-			}
-			if !errors.Is(err, cause) {
-				t.Errorf("%s: error chain lost the cancellation cause: %v", engine.name, err)
-			}
-			ran := trials.Load()
-			if max := int64(cfg.Reps * 4); ran >= max {
-				t.Errorf("%s: all %d trials ran despite cancellation", engine.name, max)
-			}
-		})
+	cause := errors.New("cancelled by test")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cfg, err := Config{Reps: 8, Scale: 0.1, Seed: 1, Parallelism: 2, Ctx: ctx}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trials atomic.Int64
+	f := func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
+		if trials.Add(1) == 2 {
+			cancel(cause) // cancel from inside the sweep, mid-flight
+		}
+		return x, nil
+	}
+	_, err = sweep(cfg, "s", []float64{1, 2, 3, 4}, 0, f)
+	if err == nil {
+		t.Fatal("cancelled sweep returned results")
+	}
+	if !errors.Is(err, cause) {
+		t.Errorf("error chain lost the cancellation cause: %v", err)
+	}
+	ran := trials.Load()
+	if max := int64(cfg.Reps * 4); ran >= max {
+		t.Errorf("all %d trials ran despite cancellation", max)
 	}
 }
 

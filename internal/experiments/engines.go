@@ -12,26 +12,20 @@ import (
 )
 
 // This file is the sweep engine: the scheduling of a series' (point,
-// rep) trials onto worker goroutines, and nothing else. Two engines
-// share one trial contract:
+// rep) trials onto worker goroutines, and nothing else. The worker unit
+// is one rep: its trial walks the full x-grid point by point, sharing
+// one trialCtx — so a seed-invariant data source is read once per
+// (trial, series) and every grid point is served from memory.
 //
-//   - sweepBatched (the default) hands each worker a whole rep: the
-//     trial walks the full x-grid point by point, sharing one trialCtx —
-//     so a seed-invariant data source is read once per (trial, series)
-//     and every grid point is served from memory;
-//   - sweepPointwise (the pre-batching reference) hands each worker one
-//     (point, rep) pair with a fresh trialCtx, re-reading the source for
-//     every point.
-//
-// Both derive every trial's RNG from pointSeed — a pure function of
-// (series, point, rep), never of the schedule — and both evaluate the
-// same trial closure on the same streams, so their results are
-// bit-identical; TestEnginesBitIdentical and testdata/sweep_golden.json
-// hold the two to that. Errors (and recovered panics) travel out of the
-// worker through per-rep slots, picked deterministically in index order
-// after the wait; a failure flips an atomic flag so in-flight reps stop
-// early, which can change which error is reported but never the result
-// bytes — a failed sweep returns no results at all.
+// Every trial's RNG derives from pointSeed — a pure function of
+// (series, point, rep), never of the schedule — so results are
+// bit-identical at any worker count; testdata/sweep_golden.json holds
+// the engine to that at workers 1 and 4. Errors (and recovered panics)
+// travel out of the worker through per-rep slots, picked
+// deterministically in index order after the wait; a failure flips an
+// atomic flag so in-flight reps stop early, which can change which
+// error is reported but never the result bytes — a failed sweep returns
+// no results at all.
 //
 // The same early-stop flag doubles as the cancellation seam: a
 // cancelled Config.Ctx flips it at the next per-point check, every
@@ -42,31 +36,16 @@ import (
 
 // trialFn runs one trial of one grid point and returns the measured
 // error. The RNG is private to the trial; the trialCtx carries the
-// state a batched trial shares across its points (today: the
-// materialized rows of a shared source). Trials must not share other
-// state unless it is read-only, and must return failures — the engine
-// additionally converts panics to errors as a barrier of last resort.
+// state a trial shares across its points (today: the materialized rows
+// of a shared source). Trials must not share other state unless it is
+// read-only, and must return failures — the engine additionally
+// converts panics to errors as a barrier of last resort.
 type trialFn func(tc *trialCtx, r *randx.RNG, x float64) (float64, error)
 
-// sweepEngine is the active trial scheduler. Tests and benchmarks swap
-// in sweepPointwise via WithPointwiseEngine to measure and pin the
-// batched engine against the reference; everything else runs batched.
-var sweepEngine = sweepBatched
-
-// WithPointwiseEngine runs fn with the pre-batching pointwise reference
-// engine swapped in — one data pass per (trial, series, point), fresh
-// trial context per point. For equivalence tests and the benchio
-// sweep-passes benchmarks only; not safe for concurrent use.
-func WithPointwiseEngine(fn func()) {
-	sweepEngine = sweepPointwise
-	defer func() { sweepEngine = sweepBatched }()
-	fn()
-}
-
 // pointSeed derives the deterministic RNG stream of one (series, point,
-// rep) trial from the base seed. Every engine must use this exact
-// derivation: it is what keeps results independent of scheduling,
-// worker count, and engine choice.
+// rep) trial from the base seed. The derivation is what keeps results
+// independent of scheduling and worker count; it is also the one the
+// committed golden was recorded with, so it must never change.
 func pointSeed(seed, seedOff int64, xi, rep int) int64 {
 	return seed + seedOff*1_000_003 + int64(xi)*10_007 + int64(rep)
 }
@@ -169,61 +148,8 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 	return results, nil
 }
 
-// sweepPointwise is the pre-batching reference: one (point, rep) pair
-// per worker unit, fresh trialCtx per pair, so every point re-reads its
-// data source. Kept runnable (not build-tagged away) because the
-// equivalence tests and the benchio sweep-passes benchmarks execute it
-// against sweepBatched.
-func sweepPointwise(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float64, error) {
-	type job struct{ xi, rep int }
-	ctx := cfg.context()
-	results := newResults(len(xs), cfg.Reps)
-	errs := make([]error, len(xs)*cfg.Reps)
-	var failed atomic.Bool
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < sweepWorkers(cfg.Parallelism, cfg.Reps*len(xs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if ctx.Err() != nil {
-					failed.Store(true)
-					continue
-				}
-				tc := newTrialCtx(cfg)
-				y, err := safeTrial(f, tc, randx.New(pointSeed(cfg.Seed, seedOff, j.xi, j.rep)), xs[j.xi])
-				if err != nil {
-					errs[j.xi*cfg.Reps+j.rep] = fmt.Errorf("x=%v rep %d: %w", xs[j.xi], j.rep, err)
-					failed.Store(true)
-					continue
-				}
-				results[j.xi][j.rep] = y
-			}
-		}()
-	}
-	for xi := range xs {
-		for rep := 0; rep < cfg.Reps; rep++ {
-			jobs <- job{xi, rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
-	}
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// trialCtx is the per-trial shared state of the batched engine: one
-// instance spans all grid points of one rep (sweepBatched) or exactly
-// one point (sweepPointwise). Its only current cargo is the
+// trialCtx is the per-trial shared state of the engine: one instance
+// spans all grid points of one rep. Its only current cargo is the
 // materialized row block of a shared source.
 type trialCtx struct {
 	cfg    Config
@@ -238,9 +164,9 @@ func newTrialCtx(cfg Config) *trialCtx { return &trialCtx{cfg: cfg} }
 // including the first, receives an in-memory view; chunk contents are
 // bit-identical to the factory's own source by the data.Source
 // contract. Otherwise each call opens a fresh source from the factory
-// with the given seed, exactly as the pointwise engine always did. The
-// caller owns the returned source and must Close it (views close as
-// no-ops; the materialized block belongs to the trialCtx).
+// with the given seed. The caller owns the returned source and must
+// Close it (views close as no-ops; the materialized block belongs to
+// the trialCtx).
 //
 // Every returned source is wrapped with the sweep's context (a no-op
 // wrapper when Config.Ctx is nil), so a long trial observes

@@ -1,41 +1,14 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"htdp/internal/data"
 	"htdp/internal/randx"
 )
-
-// TestEnginesBitIdentical holds the pointwise reference engine to the
-// same committed golden the batched engine must match: every registry
-// entry, workers 1 and 4, byte for byte. Together with TestSweepGolden
-// this proves batched ≡ pointwise ≡ the pre-batching engine.
-func TestEnginesBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry equivalence is not a -short test")
-	}
-	if raceEnabled {
-		t.Skip("full-registry equivalence is minutes of compute under the race detector; CI runs it in a dedicated non-race step")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "sweep_golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	WithPointwiseEngine(func() {
-		for _, workers := range []int{1, 4} {
-			if got := runRegistry(t, workers); !bytes.Equal(got, want) {
-				t.Errorf("pointwise engine, workers=%d: panels differ from golden", workers)
-			}
-		}
-	})
-}
 
 // TestSweepTrialError: a failing trial surfaces as an error naming the
 // series, grid point, and rep — and a failed sweep returns no results.
@@ -51,27 +24,17 @@ func TestSweepTrialError(t *testing.T) {
 		}
 		return x, nil
 	}
-	for _, engine := range []struct {
-		name string
-		run  func(func())
-	}{
-		{"batched", func(fn func()) { fn() }},
-		{"pointwise", WithPointwiseEngine},
-	} {
-		engine.run(func() {
-			_, err := sweep(cfg, "s", []float64{1, 2, 3}, 0, f)
-			if err == nil {
-				t.Fatalf("%s: failing trial produced no error", engine.name)
-			}
-			if !errors.Is(err, boom) {
-				t.Errorf("%s: error chain lost the cause: %v", engine.name, err)
-			}
-			for _, want := range []string{"series s", "x=2", "rep"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("%s: error %q missing %q", engine.name, err, want)
-				}
-			}
-		})
+	_, err = sweep(cfg, "s", []float64{1, 2, 3}, 0, f)
+	if err == nil {
+		t.Fatal("failing trial produced no error")
+	}
+	if !errors.Is(err, boom) {
+		t.Errorf("error chain lost the cause: %v", err)
+	}
+	for _, want := range []string{"series s", "x=2", "rep"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
 	}
 }
 
@@ -89,22 +52,12 @@ func TestSweepTrialPanic(t *testing.T) {
 		}
 		return x, nil
 	}
-	for _, engine := range []struct {
-		name string
-		run  func(func())
-	}{
-		{"batched", func(fn func()) { fn() }},
-		{"pointwise", WithPointwiseEngine},
-	} {
-		engine.run(func() {
-			_, err := sweep(cfg, "s", []float64{1, 2}, 0, f)
-			if err == nil {
-				t.Fatalf("%s: panicking trial produced no error", engine.name)
-			}
-			if !strings.Contains(err.Error(), "trial panicked: trial gone wrong") {
-				t.Errorf("%s: error %q does not carry the panic value", engine.name, err)
-			}
-		})
+	_, err = sweep(cfg, "s", []float64{1, 2}, 0, f)
+	if err == nil {
+		t.Fatal("panicking trial produced no error")
+	}
+	if !strings.Contains(err.Error(), "trial panicked: trial gone wrong") {
+		t.Errorf("error %q does not carry the panic value", err)
 	}
 }
 

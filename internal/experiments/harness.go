@@ -334,7 +334,7 @@ func RunSweep(ctx context.Context, q SweepRequest, src func(seed int64) (data.So
 
 // sweep evaluates one series: for every x it averages Reps trials, each
 // on its own deterministic RNG stream, scheduling trials through the
-// active engine (engines.go). The first trial failure aborts the
+// engine (engines.go). The first trial failure aborts the
 // series; so does a cancelled Config.Ctx — the up-front check here is
 // what stops a multi-panel Run body between panels without touching any
 // of the ~20 Run bodies themselves.
@@ -342,7 +342,7 @@ func sweep(cfg Config, name string, xs []float64, seedOff int64, f trialFn) (Ser
 	if cfg.context().Err() != nil {
 		return Series{}, fmt.Errorf("series %s: %w", name, context.Cause(cfg.context()))
 	}
-	results, err := sweepEngine(cfg, xs, seedOff, f)
+	results, err := sweepBatched(cfg, xs, seedOff, f)
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", name, err)
 	}

@@ -35,10 +35,10 @@ func waitClosed(t *testing.T, s *scheduler) {
 // completes within the drain window finishes normally and counts as
 // drained.
 func TestSchedulerCloseCancelsQueued(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, neverStored)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	j1, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
+	j1, _, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
 		close(started)
 		select {
 		case <-release:
@@ -51,7 +51,7 @@ func TestSchedulerCloseCancelsQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	j2, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	j2, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		return []byte("never runs\n"), nil
 	})
 	if err != nil {
@@ -84,9 +84,9 @@ func TestSchedulerCloseCancelsQueued(t *testing.T) {
 // already expired, close cancels running jobs immediately (cause:
 // shutdown) instead of waiting for them, and still never hangs wait().
 func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, neverStored)
 	started := make(chan struct{})
-	j1, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
+	j1, _, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
 		close(started)
 		<-ctx.Done() // only a cancelled context ends this job
 		return nil, context.Cause(ctx)
@@ -95,7 +95,7 @@ func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	j2, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	j2, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		return []byte("never runs\n"), nil
 	})
 	if err != nil {
@@ -126,14 +126,14 @@ func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
 // deadline-exceeded (the 504 discriminator) — not cancelled, not a
 // plain failure.
 func TestSchedulerDeadlineExceeded(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, neverStored)
 	defer s.close(context.Background())
 	s.timeoutCtx = func(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 		ctx, cancel := context.WithCancelCause(parent)
 		cancel(context.DeadlineExceeded)
 		return ctx, func() {}
 	}
-	j, err := s.submit("run", "", anonTenant, 1, time.Hour, func(ctx context.Context, _ *job) ([]byte, error) {
+	j, _, err := s.submit("run", "", anonTenant, 1, time.Hour, func(ctx context.Context, _ *job) ([]byte, error) {
 		return nil, context.Cause(ctx)
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestSchedulerDeadlineExceeded(t *testing.T) {
 
 	// A job WITHOUT a timeout never consults the hook: it runs to
 	// completion untouched.
-	ok, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
+	ok, _, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -30,6 +30,11 @@ var errQueueFull = errors.New("serve: job queue full")
 // overload is this tenant's, not the service's.
 var errTenantQueueFull = errors.New("serve: tenant queue quota reached")
 
+// errStored is returned by submit when the result store already holds
+// the key's bytes: nothing is registered, and the caller reads the
+// store instead of computing the bytes again.
+var errStored = errors.New("serve: result already stored")
+
 // errNotCancellable is returned by cancel for a job that already
 // finished: there is nothing left to cancel. Queued jobs cancel
 // immediately; running jobs cancel cooperatively (their context is
@@ -75,12 +80,12 @@ type JobStatus struct {
 // the worker classifies the outcome from its cause when fn returns.
 //
 // tenant is the submitter; attached collects the other tenants whose
-// requests coalesced onto this job (singleflight followers), who may
-// observe it but not cancel it.
+// requests joined this job (singleflight followers), who may observe it
+// but not cancel it.
 type job struct {
 	id      string
 	kind    string
-	key     string // cache key, "" for jobs outside the singleflight group
+	key     string // cache key; "" for uncached work, which never joins
 	tenant  string
 	timeout time.Duration
 	fn      func(context.Context, *job) ([]byte, error)
@@ -148,6 +153,14 @@ func (j *job) visibleTo(tenant string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return tenant == j.tenant || j.attached[tenant]
+}
+
+// runningCancel returns the job's cancel func while it runs, nil
+// otherwise.
+func (j *job) runningCancel() context.CancelCauseFunc {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cancel
 }
 
 // ownedBy reports whether the tenant submitted this job (only the
@@ -305,6 +318,15 @@ type scheduler struct {
 	// when the count bound evicts the oldest job — that only costs one
 	// refreshing scan, never a missed expiry.
 	earliestFinish time.Time
+
+	// The singleflight registry (see submit): inflight maps a cache key
+	// to the unfinished job computing it, and every path that ends a
+	// job releases its key under the same hold of mu that makes it
+	// terminal. stored is the result store's index-only lookup (no file
+	// I/O; mu is taken before the store's lock, which never calls back).
+	inflight  map[string]*job
+	stored    func(key string) bool
+	coalesced int64 // submits that joined an unfinished job
 }
 
 // maxRetainedJobs bounds the finished-job history kept for
@@ -315,8 +337,9 @@ const maxRetainedJobs = 1024
 // concurrently running jobs (0 = unlimited); tenantQueue caps one
 // tenant's waiting jobs inside the global depth bound (0 = bounded
 // only by depth). Both are fixed at construction — workers read them
-// without further coordination.
-func newScheduler(workers, depth int, ttl time.Duration, tenantJobs, tenantQueue int) *scheduler {
+// without further coordination. stored reports whether the result
+// store already holds a key; submit consults it under s.mu.
+func newScheduler(workers, depth int, ttl time.Duration, tenantJobs, tenantQueue int, stored func(key string) bool) *scheduler {
 	baseCtx, cancelBase := context.WithCancelCause(context.Background())
 	s := &scheduler{
 		queues:      make(map[string][]*job),
@@ -329,6 +352,8 @@ func newScheduler(workers, depth int, ttl time.Duration, tenantJobs, tenantQueue
 		tenantJobs:  tenantJobs,
 		tenantQueue: tenantQueue,
 		jobs:        make(map[string]*job),
+		inflight:    make(map[string]*job),
+		stored:      stored,
 		ttl:         ttl,
 		now:         time.Now,
 		baseCtx:     baseCtx,
@@ -432,16 +457,16 @@ func (s *scheduler) release(tenant string) {
 
 func (s *scheduler) runJob(j *job) {
 	s.mu.Lock()
-	draining := s.closed
-	s.mu.Unlock()
-	if draining {
+	if s.closed {
 		// The scheduler is shutting down: a job claimed in the same
 		// instant finishes as cancelled instead of running, so its
 		// waiters unblock and wait() can never hang on a closed
 		// scheduler.
-		s.finishCancelled(j, errShuttingDown)
+		s.finishCancelledLocked(j, errShuttingDown)
+		s.mu.Unlock()
 		return
 	}
+	s.mu.Unlock()
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	runCtx, stopTimer := context.Context(ctx), context.CancelFunc(func() {})
 	if j.timeout > 0 {
@@ -475,12 +500,15 @@ func (s *scheduler) runJob(j *job) {
 	stopTimer()
 	cancel(nil)
 	finishedAt := s.now()
-	// Finish and count under one hold of s.mu, so a shutdown begun by a
-	// waiter that already has the result never tallies this job as
-	// drained. (s.mu before j.mu, the order counts() nests them in.)
+	// Finish, release the key and count under one hold of s.mu, so a
+	// shutdown begun by a waiter that already has the result never
+	// tallies this job as drained, and the key is released only after
+	// fn's store.put. (s.mu before j.mu, the order counts() nests them
+	// in.)
 	s.mu.Lock()
 	j.finish(result, err, cause, finishedAt)
 	s.noteFinishedLocked(finishedAt)
+	s.releaseKeyLocked(j)
 	if s.closed {
 		// This job was in flight when shutdown began; record whether it
 		// drained to a real result or was cut short.
@@ -493,19 +521,17 @@ func (s *scheduler) runJob(j *job) {
 	s.mu.Unlock()
 }
 
-// finishCancelled lands a not-yet-running job in the cancelled state
-// (no-op if it already left the queued state) and counts it against the
-// shutdown if one is in progress.
-func (s *scheduler) finishCancelled(j *job, cause error) {
+// finishCancelledLocked lands a not-yet-running job in the cancelled
+// state, releases its key, and counts it against the shutdown if one is
+// in progress. It reports false, changing nothing, when the job already
+// left the queued state. Caller holds s.mu (taken before j.mu, the
+// order counts() nests them in).
+func (s *scheduler) finishCancelledLocked(j *job, cause error) bool {
 	finishedAt := s.now()
-	// s.mu before j.mu, the order counts() nests them in; held until
-	// the job is counted, as in runJob.
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j.mu.Lock()
 	if j.state != jobQueued {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.state = jobCancelled
 	j.errMsg = cause.Error()
@@ -513,27 +539,36 @@ func (s *scheduler) finishCancelled(j *job, cause error) {
 	j.mu.Unlock()
 	close(j.done)
 	s.noteFinishedLocked(finishedAt)
+	s.releaseKeyLocked(j)
 	if s.closed {
 		s.shutdownCancelled++
 	}
+	return true
 }
 
-// removeQueued takes a still-waiting job out of its tenant's queue, so
-// an eagerly-cancelled job frees its quota slot immediately instead of
-// occupying it until a worker skips it. No-op when a worker already
-// claimed the job.
-func (s *scheduler) removeQueued(j *job) {
-	s.mu.Lock()
+// releaseKeyLocked removes j from the singleflight registry if it still
+// holds its key — a newer job for the key, submitted after j's
+// cancellation released it early, is left in place. Caller holds s.mu.
+func (s *scheduler) releaseKeyLocked(j *job) {
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+}
+
+// removeQueuedLocked takes a still-waiting job out of its tenant's
+// queue, so an eagerly-cancelled job frees its quota slot immediately
+// instead of occupying it until a worker skips it. No-op when a worker
+// already claimed the job. Caller holds s.mu.
+func (s *scheduler) removeQueuedLocked(j *job) {
 	q := s.queues[j.tenant]
 	for i, cand := range q {
 		if cand == j {
 			s.queues[j.tenant] = append(q[:i], q[i+1:]...)
 			s.queuedN[j.tenant]--
 			s.queuedTotal--
-			break
+			return
 		}
 	}
-	s.mu.Unlock()
 }
 
 // noteFinishedLocked records a job completion time for the expiry
@@ -634,38 +669,57 @@ func (s *scheduler) enqueueLocked(j *job, weight int) {
 	s.queuedTotal++
 }
 
-// submit registers and enqueues a job, or fails fast: errQueueFull
-// (503) past the global depth bound, errTenantQueueFull (429) past the
-// submitting tenant's own queue quota. key is the cache key the job
-// computes ("" for uncached work); the server's singleflight group
-// uses it to collapse duplicate misses. tenant owns the job for
-// fairness, quota, and visibility; weight is its round-robin share.
-// timeout, when positive, bounds the job's execution (not its queue
-// wait): past it the job's context is cancelled with a deadline cause
-// and the job fails as deadline-exceeded.
-func (s *scheduler) submit(kind, key, tenant string, weight int, timeout time.Duration, fn func(context.Context, *job) ([]byte, error)) (*job, error) {
-	j := &job{kind: kind, key: key, tenant: tenant, timeout: timeout, fn: fn, done: make(chan struct{}), state: jobQueued}
+// submit finds or creates the job computing key, the one decision of
+// which job computes a cache key. Under one hold of s.mu:
+//
+//   - an unfinished job holding key is returned with joined=true: the
+//     tenant is attached to it (so it may observe the job) and the join
+//     is counted;
+//   - a key the result store already holds answers errStored, and
+//     nothing is registered;
+//   - otherwise a new job is registered, enqueued and made the key's
+//     holder — or submit fails fast: errQueueFull (503) past the
+//     global depth bound, errTenantQueueFull (429) past the tenant's
+//     own queue quota, an error once the scheduler closed.
+//
+// Joining comes before the closed check, so a request arriving during a
+// drain still joins a running identical job. Key "" (uncached work)
+// never joins. tenant owns a new job for fairness, quota, and
+// visibility; weight is its round-robin share. timeout, when positive,
+// bounds the job's execution (not its queue wait): past it the job's
+// context is cancelled with a deadline cause and the job fails as
+// deadline-exceeded.
+func (s *scheduler) submit(kind, key, tenant string, weight int, timeout time.Duration, fn func(context.Context, *job) ([]byte, error)) (j *job, joined bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.inflight[key]; ok {
+		s.coalesced++
+		j.attach(tenant)
+		return j, true, nil
+	}
+	if key != "" && s.stored(key) {
+		return nil, false, errStored
+	}
 	if s.closed {
-		s.mu.Unlock()
-		return nil, errors.New("serve: scheduler closed")
+		return nil, false, errors.New("serve: scheduler closed")
 	}
 	s.evictExpiredLocked()
 	// Reject without registering: a job that never ran should not
 	// occupy retention slots or resolve via /v1/jobs.
 	if s.queuedTotal >= s.depth {
-		s.mu.Unlock()
-		return nil, errQueueFull
+		return nil, false, errQueueFull
 	}
 	if s.tenantQueue > 0 && s.queuedN[tenant] >= s.tenantQueue {
-		s.mu.Unlock()
-		return nil, errTenantQueueFull
+		return nil, false, errTenantQueueFull
 	}
+	j = &job{kind: kind, key: key, tenant: tenant, timeout: timeout, fn: fn, done: make(chan struct{}), state: jobQueued}
 	s.enqueueLocked(j, weight)
 	s.registerLocked(j)
-	s.mu.Unlock()
+	if key != "" {
+		s.inflight[key] = j
+	}
 	s.cond.Signal()
-	return j, nil
+	return j, false, nil
 }
 
 // completed registers an already-finished job carrying the given result
@@ -691,25 +745,25 @@ func (s *scheduler) completed(kind, tenant string, result []byte) (*job, error) 
 // (and leaves its tenant's queue, freeing the quota slot); a running
 // job has its context cancelled and lands in cancelled when the worker
 // observes it — bounded by the computation's chunk/point granularity,
-// never a hard kill — in which case cancel reports pending=true.
-// Finished jobs return errNotCancellable.
+// never a hard kill — in which case cancel reports pending=true. A
+// running job releases its key at once, so no request joins a dying
+// job. Finished jobs return errNotCancellable.
 func (s *scheduler) cancel(j *job) (pending bool, err error) {
-	j.mu.Lock()
-	switch j.state {
-	case jobQueued:
-		j.mu.Unlock()
-		s.removeQueued(j)
-		s.finishCancelled(j, errors.New("cancelled before running"))
+	s.mu.Lock()
+	if s.finishCancelledLocked(j, errors.New("cancelled before running")) {
+		s.removeQueuedLocked(j)
+		s.mu.Unlock()
 		return false, nil
-	case jobRunning:
-		cancelFn := j.cancel // non-nil exactly while running
-		j.mu.Unlock()
-		cancelFn(errCancelledByDelete)
-		return true, nil
-	default:
-		j.mu.Unlock()
+	}
+	cancelFn := j.runningCancel()
+	if cancelFn == nil {
+		s.mu.Unlock()
 		return false, errNotCancellable
 	}
+	s.releaseKeyLocked(j)
+	s.mu.Unlock()
+	cancelFn(errCancelledByDelete)
+	return true, nil
 }
 
 // cancelTenant cancels every queued and running job a tenant owns —
@@ -717,35 +771,33 @@ func (s *scheduler) cancel(j *job) (pending bool, err error) {
 // revokes a tenant reclaims its scheduler share immediately, mid-job,
 // through the same contexts DELETE and shutdown use. It returns how
 // many jobs were told to stop (queued ones land in cancelled
-// synchronously; running ones land there when their computation
-// observes the context).
+// synchronously; running ones release their keys now and land in
+// cancelled when their computation observes the context).
 func (s *scheduler) cancelTenant(tenant string, cause error) int {
 	s.mu.Lock()
-	queued := s.queues[tenant]
-	if len(queued) > 0 {
-		s.queuedTotal -= len(queued)
-		s.queuedN[tenant] -= len(queued)
+	if q := s.queues[tenant]; len(q) > 0 {
+		s.queuedTotal -= len(q)
+		s.queuedN[tenant] -= len(q)
 		s.queues[tenant] = nil
 	}
+	n := 0
 	var cancels []context.CancelCauseFunc
 	for _, j := range s.jobs {
 		if j.tenant != tenant {
 			continue
 		}
-		j.mu.Lock()
-		if j.state == jobRunning && j.cancel != nil {
-			cancels = append(cancels, j.cancel)
+		if s.finishCancelledLocked(j, cause) {
+			n++
+		} else if cancelFn := j.runningCancel(); cancelFn != nil {
+			s.releaseKeyLocked(j)
+			cancels = append(cancels, cancelFn)
 		}
-		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	for _, j := range queued {
-		s.finishCancelled(j, cause)
-	}
 	for _, cancelFn := range cancels {
 		cancelFn(cause)
 	}
-	return len(queued) + len(cancels)
+	return n + len(cancels)
 }
 
 // get looks a job up by id (expired jobs are evicted first, so a
@@ -789,6 +841,14 @@ func (s *scheduler) tenantCounts() (queued, running map[string]int) {
 	return queued, running
 }
 
+// coalescedCount returns how many submits joined an unfinished job, for
+// htdp_singleflight_coalesced_total.
+func (s *scheduler) coalescedCount() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.coalesced
+}
+
 // shutdownCounts returns the drained/cancelled tallies of a shutdown in
 // progress (or completed), for /metrics and the cmd-layer drain log.
 func (s *scheduler) shutdownCounts() (drained, cancelled int64) {
@@ -820,17 +880,15 @@ func (s *scheduler) close(ctx context.Context) {
 		return
 	}
 	s.closed = true
-	var flushed []*job
 	for t, q := range s.queues {
-		flushed = append(flushed, q...)
 		s.queuedTotal -= len(q)
 		s.queuedN[t] -= len(q)
 		s.queues[t] = nil
+		for _, j := range q {
+			s.finishCancelledLocked(j, errShuttingDown)
+		}
 	}
 	s.mu.Unlock()
-	for _, j := range flushed {
-		s.finishCancelled(j, errShuttingDown)
-	}
 	s.cond.Broadcast()
 	done := make(chan struct{})
 	go func() {

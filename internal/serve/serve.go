@@ -18,8 +18,8 @@
 //     request replays responses bit for bit: a byte-bounded in-memory
 //     LRU over an optional content-addressed disk tier (-cachedir)
 //     that survives restarts;
-//   - a singleflight group collapses concurrent misses of one key
-//     behind a single scheduled job;
+//   - the scheduler doubles as the singleflight registry: concurrent
+//     misses of one key join a single scheduled job;
 //   - a multi-tenant front door resolves every request to a tenant
 //     (token auth via Authorization: Bearer or X-Htdp-Token, loaded
 //     from a tokens file), rate-limits and quota-bounds each tenant
@@ -149,7 +149,6 @@ type Server struct {
 	pool    *data.SourcePool
 	sched   *scheduler
 	store   *store
-	flight  *flight
 	met     *metrics
 	auth    *auth
 	limiter *limiter
@@ -187,9 +186,8 @@ func New(pool *data.SourcePool, opt Options) (*Server, error) {
 	}
 	s := &Server{
 		pool:    pool,
-		sched:   newScheduler(opt.Workers, opt.QueueDepth, opt.JobTTL, opt.TenantJobs, opt.TenantQueue),
+		sched:   newScheduler(opt.Workers, opt.QueueDepth, opt.JobTTL, opt.TenantJobs, opt.TenantQueue, st.contains),
 		store:   st,
-		flight:  newFlight(),
 		met:     newMetrics(),
 		auth:    a,
 		limiter: newLimiter(opt.TenantRate, opt.TenantBurst),
@@ -285,9 +283,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		t, ok := s.auth.resolve(r)
 		if !ok {
-			rec.Header().Set("WWW-Authenticate", `Bearer realm="htdp"`)
-			writeError(rec, http.StatusUnauthorized, "unauthorized",
-				"missing or unknown API token (send Authorization: Bearer <token> or X-Htdp-Token: <token>)")
+			writeUnauthorized(rec)
 			break
 		}
 		tenant = t
@@ -306,6 +302,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 	s.met.observe(route, rec.code, dur)
 	s.logAccess(r, route, rec.code, tenant, dur)
+}
+
+// writeUnauthorized answers 401 with the Bearer challenge: the front
+// door's answer to a missing or unknown token, and the compute path's
+// to a token revoked while its request waited.
+func writeUnauthorized(w http.ResponseWriter) {
+	w.Header().Set("WWW-Authenticate", `Bearer realm="htdp"`)
+	writeError(w, http.StatusUnauthorized, "unauthorized",
+		"missing or unknown API token (send Authorization: Bearer <token> or X-Htdp-Token: <token>)")
 }
 
 // retryAfterSeconds rounds a wait up to whole seconds (minimum 1) for
@@ -462,7 +467,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ts.requests, ts.throttled, ts.cancelled = s.tmet.snapshot()
 	ts.queued, ts.running = s.sched.tenantCounts()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.store.stats(), s.flight.coalescedCount(), jobs, expired, len(s.pool.List()), s.pool.ResidentBytes(), drained, cancelled, ts)
+	s.met.write(w, s.store.stats(), s.sched.coalescedCount(), jobs, expired, len(s.pool.List()), s.pool.ResidentBytes(), drained, cancelled, ts)
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -653,27 +658,26 @@ func (s *Server) jobTimeout(reqMS int64) time.Duration {
 
 // serveCachedOrRun is the shared store-then-schedule tail of the two
 // compute endpoints: consult the result store (memory, then disk),
-// otherwise join the singleflight group for the key — the first miss
-// becomes the leader and schedules the one job; concurrent identical
-// misses attach to it as followers (header "coalesced") instead of
-// scheduling duplicates. The cache key excludes tenancy on purpose, so
-// identical requests from different tenants share one entry and one
-// flight — a follower from another tenant is attached to the leader's
-// job for visibility. compute returns the result document WITHOUT
-// the trailing newline; the newline is appended once here so cached
-// and fresh responses share exact bytes. It receives the job's context
-// (carrying DELETE cancellation, the timeout deadline, and shutdown)
-// and a progress sink feeding the job's progress field and SSE stream
-// (runs ignore the sink).
+// otherwise submit the key to the scheduler, which either joins the
+// request to the unfinished job already computing the key (header
+// "coalesced") or schedules the one job for it ("miss"). The cache key
+// excludes tenancy on purpose, so identical requests from different
+// tenants share one entry and one job — a joiner from another tenant is
+// attached to the job for visibility. compute returns the result
+// document WITHOUT the trailing newline; the newline is appended once
+// here so cached and fresh responses share exact bytes. It receives the
+// job's context (carrying DELETE cancellation, the timeout deadline,
+// and shutdown) and a progress sink feeding the job's progress field
+// and SSE stream (runs ignore the sink).
 func (s *Server) serveCachedOrRun(w http.ResponseWriter, r *http.Request, key string, async bool, kind string, timeout time.Duration, compute func(ctx context.Context, progress func(experiments.Progress)) ([]byte, error)) {
 	tenant := tenantFrom(r.Context())
-	// The loop exists for two rare races, both of which re-enter as a
-	// fresh lookup: a previous leader finishing between our store miss
-	// and the flight lock (its bytes are in the store — serve them, do
-	// not recompute), and a leader being cancelled while we were
-	// attached to it (its key is free again — compute). Each retry
-	// requires another concurrent completion or cancellation, so the
-	// bound is never reached in practice.
+	// The loop has exactly two causes, both re-entering as a fresh
+	// lookup: errStored (a previous job stored the bytes between our
+	// store miss and submit — serve them, do not recompute), and a job
+	// cancelled under this waiting request by someone else (its owner's
+	// DELETE, a revocation — compute afresh). Each retry requires
+	// another concurrent completion or cancellation, so the bound is
+	// never reached in practice.
 	lookup := s.store.get
 	for attempt := 0; attempt < 3; attempt++ {
 		if b, tier, ok := lookup(key); ok {
@@ -682,68 +686,54 @@ func (s *Server) serveCachedOrRun(w http.ResponseWriter, r *http.Request, key st
 		}
 		// Later iterations must not double-count the one logical miss.
 		lookup = s.store.recheck
-		// The flight lock spans leader lookup AND job registration, so
-		// of N concurrent misses exactly one schedules work. Nothing
-		// under it may touch the disk: contains() is index-only.
-		s.flight.mu.Lock()
-		if leader, ok := s.flight.leaders[key]; ok {
-			s.flight.coalesced++
-			s.flight.mu.Unlock()
-			// Cross-tenant coalescing: the follower may receive the
-			// leader's job id (async), so it must be able to see the job.
-			leader.attach(tenant)
-			if s.awaitJob(w, leader, async, kind, "coalesced") {
-				return
-			}
-			continue // leader was cancelled; retry as a fresh miss
-		}
-		if s.store.contains(key) {
-			// A previous leader finished between our miss and this
-			// lock; loop around and serve its bytes (reading the disk
-			// tier outside the flight lock).
-			s.flight.mu.Unlock()
-			continue
-		}
 		work := func(ctx context.Context, j *job) ([]byte, error) {
-			// Leave the flight group only after the store holds the
-			// bytes, so late requests find one or the other — never
-			// neither.
-			defer s.flight.drop(key, j)
 			b, err := compute(ctx, j.setProgress)
 			if err != nil {
 				return nil, err
 			}
 			b = append(b, '\n')
-			// Only reached when compute succeeded. A cancelled or
-			// timed-out compute errors out above, so a job that lands in
-			// cancelled (or 504) never caches anything; a compute that
-			// raced its cancellation to completion produced full, valid
-			// bytes and finishes as done — caching those is correct.
+			// Only reached when compute succeeded. A cancelled or timed-out
+			// compute errors out above, so a job that lands in cancelled (or
+			// 504) never caches anything; a compute that raced its
+			// cancellation to completion produced full, valid bytes and
+			// finishes as done — caching those is correct. The scheduler
+			// releases the key only after this put, so a later request finds
+			// the job or the bytes, never neither.
 			s.store.put(key, b)
 			return b, nil
 		}
-		j, err := s.sched.submit(kind, key, tenant, s.auth.weightOf(tenant), timeout, work)
-		if err != nil {
-			s.flight.mu.Unlock()
-			switch {
-			case errors.Is(err, errQueueFull):
-				writeError(w, http.StatusServiceUnavailable, "queue_full", "job queue is full; retry later")
-			case errors.Is(err, errTenantQueueFull):
-				s.tmet.throttle(tenant, throttleQuota)
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, "quota_exceeded",
-					fmt.Sprintf("tenant %s has %d jobs queued, its quota; wait for one to finish or cancel one", tenant, s.opt.TenantQueue))
-			default:
-				writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
-			}
+		j, joined, err := s.sched.submit(kind, key, tenant, s.auth.weightOf(tenant), timeout, work)
+		switch {
+		case err == nil:
+		case errors.Is(err, errStored):
+			continue
+		case errors.Is(err, errQueueFull):
+			writeError(w, http.StatusServiceUnavailable, "queue_full", "job queue is full; retry later")
+			return
+		case errors.Is(err, errTenantQueueFull):
+			s.tmet.throttle(tenant, throttleQuota)
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "quota_exceeded",
+				fmt.Sprintf("tenant %s has %d jobs queued, its quota; wait for one to finish or cancel one", tenant, s.opt.TenantQueue))
+			return
+		default:
+			writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
 			return
 		}
-		s.flight.leaders[key] = j
-		s.flight.mu.Unlock()
-		if s.awaitJob(w, j, async, kind, "miss") {
+		tier := "miss"
+		if joined {
+			tier = "coalesced"
+		}
+		if s.awaitJob(w, j, async, kind, tier) {
 			return
 		}
-		// Our own queued job was cancelled via DELETE; retry once more.
+		// The job was cancelled. If it was this request's own token that
+		// was revoked meanwhile, stop here: recomputing would bill a
+		// departed tenant.
+		if t, ok := s.auth.resolve(r); !ok || t != tenant {
+			writeUnauthorized(w)
+			return
+		}
 	}
 	writeError(w, http.StatusConflict, "cancelled",
 		"the job computing this request kept being cancelled; re-submit")
@@ -771,11 +761,11 @@ func (s *Server) serveStored(w http.ResponseWriter, b []byte, tier string, async
 // awaitJob finishes a compute request against its (possibly shared)
 // job: async callers get the job handle immediately; sync callers wait
 // and receive the exact result bytes under the given cache-disposition
-// tier ("miss" for the singleflight leader, "coalesced" for followers).
-// It reports false — response unwritten — when the job turns out
-// cancelled (a follower can attach in the window between a DELETE and
-// the flight-group drop); the caller retries the whole miss path so
-// the requester gets a computation, not someone else's cancellation.
+// tier ("miss" for the job's submitter, "coalesced" for joiners). It
+// reports false — response unwritten — when the job turns out
+// cancelled (a sync request waiting on a job its owner deleted or whose
+// tenant was revoked); the caller retries the whole miss path so the
+// requester gets a computation, not someone else's cancellation.
 func (s *Server) awaitJob(w http.ResponseWriter, j *job, async bool, kind, tier string) bool {
 	if async {
 		st := j.status()
@@ -835,9 +825,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // grid point or chunk read and lands the job in cancelled, nothing is
 // cached, and the partial work is discarded (poll /v1/jobs or subscribe
 // to /events for the terminal state). Finished jobs have nothing to
-// cancel — 409. A cancelled singleflight leader is removed from the
-// flight group so the next identical request recomputes instead of
-// attaching to a dead job. Only the submitting tenant may cancel: an
+// cancel — 409. The cancelled job releases its cache key at once, so the
+// next identical request recomputes instead of joining a dead job. Only
+// the submitting tenant may cancel: an
 // attached follower (whose identical request coalesced onto this job)
 // can watch it but gets 403 here — cancelling would discard another
 // tenant's computation too.
@@ -857,7 +847,6 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("job %s is %s; it already finished", j.id, j.status().Status))
 		return
 	}
-	s.flight.drop(j.key, j)
 	if pending {
 		writeJSON(w, http.StatusAccepted, j.status())
 		return

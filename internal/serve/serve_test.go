@@ -649,12 +649,12 @@ func TestRunAfterDecodedCSVDeleted(t *testing.T) {
 }
 
 func TestSchedulerBackpressure(t *testing.T) {
-	s := newScheduler(1, 1, 0, 0, 0)
+	s := newScheduler(1, 1, 0, 0, 0, neverStored)
 	defer s.close(context.Background())
 	block := make(chan struct{})
 	started := make(chan struct{})
 	// Occupy the single worker...
-	j1, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	j1, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-block
 		return []byte("a\n"), nil
@@ -664,12 +664,12 @@ func TestSchedulerBackpressure(t *testing.T) {
 	}
 	<-started
 	// ...fill the depth-1 queue...
-	j2, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return []byte("b\n"), nil })
+	j2, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return []byte("b\n"), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ...and the next submission is rejected, not queued.
-	if _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, nil }); err != errQueueFull {
+	if _, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, nil }); err != errQueueFull {
 		t.Fatalf("overfull submit err = %v, want errQueueFull", err)
 	}
 	close(block)
@@ -679,7 +679,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 		t.Fatalf("queued job state = %q", got)
 	}
 	// Failed jobs report their error; panics are contained.
-	j3, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, fmt.Errorf("boom") })
+	j3, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, fmt.Errorf("boom") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 	if st := j3.status(); st.Status != jobFailed || st.Error != "boom" {
 		t.Fatalf("failed job status = %+v", st)
 	}
-	j4, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { panic("kaboom") })
+	j4, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { panic("kaboom") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,9 +698,9 @@ func TestSchedulerBackpressure(t *testing.T) {
 }
 
 func TestSchedulerSubmitAfterClose(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, neverStored)
 	s.close(context.Background())
-	if _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, nil }); err == nil {
+	if _, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, nil }); err == nil {
 		t.Fatal("submit after close: expected error, not a panic or success")
 	}
 	if _, err := s.completed("run", anonTenant, []byte("x\n")); err == nil {
@@ -899,7 +899,7 @@ func TestDiskTierCrashRestartRoundTrip(t *testing.T) {
 	// Occupy the single worker so the next submission stays queued —
 	// genuinely in flight at crash time.
 	release := make(chan struct{})
-	if _, err := srv1.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	if _, _, err := srv1.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		<-release
 		return []byte("x\n"), nil
 	}); err != nil {
@@ -969,15 +969,15 @@ func TestDiskTierCrashRestartRoundTrip(t *testing.T) {
 // acceptance test: N concurrent identical misses schedule exactly one
 // job; the N−1 followers coalesce onto it (header "coalesced", metric
 // N−1) and every response is byte-identical to the sequential
-// reference. Run under -race this also exercises the flight group's
-// locking.
+// reference. Run under -race this also exercises the scheduler's
+// singleflight locking.
 func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 	ts, srv, path := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
 	// Occupy the single worker so the leader's job stays queued while
 	// the followers arrive: every one of the N requests must take the
 	// miss path.
 	release := make(chan struct{})
-	blocker, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	blocker, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		<-release
 		return []byte("x\n"), nil
 	})
@@ -1011,12 +1011,12 @@ func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 			replies <- reply{code: resp.StatusCode, tier: resp.Header.Get("X-Htdp-Cache"), body: body}
 		}()
 	}
-	// All N requests miss and join the flight group before any compute
-	// runs; wait for the N−1 followers to have registered.
+	// All N requests miss and submit before any compute runs; wait for
+	// the N−1 followers to have joined.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.flight.coalescedCount() != n-1 {
+	for srv.sched.coalescedCount() != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %d, want %d", srv.flight.coalescedCount(), n-1)
+			t.Fatalf("coalesced = %d, want %d", srv.sched.coalescedCount(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1053,7 +1053,7 @@ func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 func TestSingleflightAsyncAttachesToSameJob(t *testing.T) {
 	ts, srv, _ := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
-	if _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	if _, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		<-release
 		return []byte("x\n"), nil
 	}); err != nil {
@@ -1090,7 +1090,7 @@ func TestSingleflightAsyncAttachesToSameJob(t *testing.T) {
 func TestJobCancellation(t *testing.T) {
 	ts, srv, path := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
-	blocker, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	blocker, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		<-release
 		return []byte("x\n"), nil
 	})
@@ -1152,7 +1152,7 @@ func TestJobCancellation(t *testing.T) {
 // injected clock: finished jobs past the TTL vanish from lookups, live
 // jobs never expire.
 func TestJobTTLEviction(t *testing.T) {
-	s := newScheduler(1, 4, time.Minute, 0, 0)
+	s := newScheduler(1, 4, time.Minute, 0, 0, neverStored)
 	defer s.close(context.Background())
 	var (
 		mu  sync.Mutex
@@ -1169,13 +1169,13 @@ func TestJobTTLEviction(t *testing.T) {
 		mu.Unlock()
 	}
 
-	quick, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return []byte("q\n"), nil })
+	quick, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return []byte("q\n"), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	quick.wait()
 	release := make(chan struct{})
-	slow, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	slow, _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		<-release
 		return []byte("s\n"), nil
 	})

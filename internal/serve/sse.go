@@ -4,47 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 )
-
-// flight is the singleflight group of the compute endpoints: cache key
-// → the job currently computing it. Of N concurrent misses of one key,
-// exactly one becomes the leader (it registers here, under the same
-// lock section that checked for an existing leader); the other N−1
-// attach to the leader's job — sync followers block on it, async
-// followers receive its job id — and are counted in coalesced. The
-// determinism contract makes this purely an efficiency device: without
-// it the N jobs would all compute the same bytes.
-type flight struct {
-	mu        sync.Mutex
-	leaders   map[string]*job
-	coalesced int64
-}
-
-func newFlight() *flight {
-	return &flight{leaders: make(map[string]*job)}
-}
-
-// drop removes a finished (or cancelled) leader, if it still owns the
-// key — a newer leader for the same key is left in place.
-func (f *flight) drop(key string, j *job) {
-	if key == "" {
-		return
-	}
-	f.mu.Lock()
-	if f.leaders[key] == j {
-		delete(f.leaders, key)
-	}
-	f.mu.Unlock()
-}
-
-// coalescedCount returns the cumulative number of coalesced requests,
-// for /metrics.
-func (f *flight) coalescedCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.coalesced
-}
 
 // handleJobEvents answers GET /v1/jobs/{id}/events with a Server-Sent
 // Events stream: one `progress` event per completed sweep panel (data:

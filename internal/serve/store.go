@@ -167,10 +167,9 @@ func (s *store) get(key string) (val []byte, tier string, ok bool) {
 	return s.lookup(key, true)
 }
 
-// recheck is get without miss accounting: the singleflight path's
-// second look at the store (a previous leader may have finished between
-// the first miss and the flight lock) should not double-count the one
-// logical miss.
+// recheck is get without miss accounting: the compute path's later
+// looks at the store (after submit answered errStored, or a waited-on
+// job was cancelled) should not double-count the one logical miss.
 func (s *store) recheck(key string) (val []byte, tier string, ok bool) {
 	return s.lookup(key, false)
 }
@@ -226,7 +225,7 @@ func (s *store) lookup(key string, countMiss bool) (val []byte, tier string, ok 
 
 // contains reports whether the key is present in either tier, by index
 // alone — no file I/O, so it is safe to call under locks that must not
-// stall on disk (the singleflight group's). A positive answer can go
+// stall on disk (the scheduler's, in submit). A positive answer can go
 // stale (the entry may be evicted before a subsequent read), so callers
 // must treat it as a hint and re-read via lookup.
 func (s *store) contains(key string) bool {

@@ -50,7 +50,7 @@ func TestTenantStormFairness(t *testing.T) {
 	// dispatch order below is purely the scheduler's choice.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	blocker, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-release
 		return []byte("x\n"), nil
@@ -231,11 +231,11 @@ func metricsExcerpt(metrics []byte) string {
 // directly on the scheduler: a weight-2 tenant receives two dispatches
 // per rotation against a weight-1 tenant's one, deterministically.
 func TestWeightedFairShare(t *testing.T) {
-	s := newScheduler(1, 64, 0, 0, 0)
+	s := newScheduler(1, 64, 0, 0, 0, neverStored)
 	defer s.close(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := s.submit("run", "", "blocker", 1, 0, func(context.Context, *job) ([]byte, error) {
+	if _, _, err := s.submit("run", "", "blocker", 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -250,14 +250,14 @@ func TestWeightedFairShare(t *testing.T) {
 	var jobs []*job
 	noop := func(context.Context, *job) ([]byte, error) { return []byte("x\n"), nil }
 	for i := 0; i < 6; i++ {
-		j, err := s.submit("run", "", "heavy", 2, 0, noop)
+		j, _, err := s.submit("run", "", "heavy", 2, 0, noop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, j)
 	}
 	for i := 0; i < 3; i++ {
-		j, err := s.submit("run", "", "light", 1, 0, noop)
+		j, _, err := s.submit("run", "", "light", 1, 0, noop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,11 +283,11 @@ func TestWeightedFairShare(t *testing.T) {
 // cap keeps its work queued — no error — while other tenants dispatch
 // past it.
 func TestTenantJobsCapThrottlesDispatchOnly(t *testing.T) {
-	s := newScheduler(2, 64, 0, 1, 0) // 2 workers, 1 running job per tenant
+	s := newScheduler(2, 64, 0, 1, 0, neverStored) // 2 workers, 1 running job per tenant
 	defer s.close(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
-	capped, err := s.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
+	capped, _, err := s.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-release
 		return []byte("a\n"), nil
@@ -298,13 +298,13 @@ func TestTenantJobsCapThrottlesDispatchOnly(t *testing.T) {
 	<-started
 	// Alice's second job queues behind her cap; bob's runs immediately
 	// on the free worker.
-	second, err := s.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
+	second, _, err := s.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
 		return []byte("a2\n"), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := s.submit("run", "", "bob", 1, 0, func(context.Context, *job) ([]byte, error) {
+	bob, _, err := s.submit("run", "", "bob", 1, 0, func(context.Context, *job) ([]byte, error) {
 		return []byte("b\n"), nil
 	})
 	if err != nil {
@@ -334,7 +334,7 @@ func TestCrossTenantSingleflight(t *testing.T) {
 	// before any compute runs.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	blocker, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-release
 		return []byte("x\n"), nil

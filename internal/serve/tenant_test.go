@@ -390,7 +390,7 @@ func TestTenantQueueQuota429(t *testing.T) {
 	// Occupy the single worker so submissions stay queued.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
+	blocker, _, err := srv.sched.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) {
 		close(started)
 		<-release
 		return []byte("x\n"), nil
@@ -454,7 +454,7 @@ func TestReloadTokensRotation(t *testing.T) {
 	}
 	// One running and one queued job owned by alice.
 	started := make(chan struct{})
-	running, err := srv.sched.submit("run", "", "alice", 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
+	running, _, err := srv.sched.submit("run", "", "alice", 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, context.Cause(ctx)
@@ -463,7 +463,7 @@ func TestReloadTokensRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := srv.sched.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
+	queued, _, err := srv.sched.submit("run", "", "alice", 1, 0, func(context.Context, *job) ([]byte, error) {
 		return []byte("never\n"), nil
 	})
 	if err != nil {
