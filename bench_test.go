@@ -176,7 +176,7 @@ func BenchmarkCatoniFused(b *testing.B) {
 }
 
 // BenchmarkCatoniFunc measures the buffer-filling variant
-// (EstimateFunc) on the same shape — the path the optimization loops
+// (EstimateFuncWS) on the same shape — the path the optimization loops
 // use, where per-sample gradients are recomputed inside each shard.
 func BenchmarkCatoniFunc(b *testing.B) {
 	const m, d = 1000, 2000
@@ -191,7 +191,7 @@ func BenchmarkCatoniFunc(b *testing.B) {
 			e := robust.MeanEstimator{S: 20, Beta: 1, Parallelism: w}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.EstimateFunc(dst, m, func(i int, buf []float64) { copy(buf, rows[i]) })
+				e.EstimateFuncWS(dst, m, nil, func(i int, buf []float64) { copy(buf, rows[i]) })
 			}
 		})
 	}
@@ -291,10 +291,11 @@ func BenchmarkSparseMean(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = r.Normal()
 	}
+	src := htdp.NewMemSource(&htdp.Dataset{X: x, Y: make([]float64, x.Rows)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.SparseMean(x, htdp.SparseMeanOptions{
+		if _, err := htdp.SparseMeanSource(src, htdp.SparseMeanOptions{
 			Eps: 1, Delta: 1e-5, SStar: 10, Rng: randx.New(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -311,10 +312,11 @@ func BenchmarkDPSGDStep(b *testing.B) {
 		Feature: htdp.LogNormal{Mu: 0, Sigma: 1},
 		Noise:   htdp.Normal{Mu: 0, Sigma: 0.3},
 	})
+	src := htdp.NewMemSource(ds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.DPSGD(ds, htdp.DPSGDOptions{
+		if _, err := htdp.DPSGDSource(src, htdp.DPSGDOptions{
 			Loss: htdp.SquaredLoss{}, Eps: 1, Delta: 1e-5,
 			T: 100, Batch: 200, Clip: 2, LR: 0.01, Rng: randx.New(int64(i)),
 		}); err != nil {

@@ -247,7 +247,7 @@ type (
 
 // FrankWolfe runs Heavy-tailed DP-FW (Algorithm 1); the run is ε-DP.
 func FrankWolfe(ds *Dataset, opt FWOptions) ([]float64, error) {
-	return core.FrankWolfe(ds, opt)
+	return core.FrankWolfeSource(data.NewMemSource(ds), opt)
 }
 
 // FrankWolfeSource runs Algorithm 1 over a streaming source; iteration
@@ -259,7 +259,7 @@ func FrankWolfeSource(src Source, opt FWOptions) ([]float64, error) {
 
 // Lasso runs Heavy-tailed Private LASSO (Algorithm 2); (ε, δ)-DP.
 func Lasso(ds *Dataset, opt LassoOptions) ([]float64, error) {
-	return core.Lasso(ds, opt)
+	return core.LassoSource(data.NewMemSource(ds), opt)
 }
 
 // LassoSource runs Algorithm 2 over a streaming source: every
@@ -272,7 +272,7 @@ func LassoSource(src Source, opt LassoOptions) ([]float64, error) {
 // SparseLinReg runs Heavy-tailed Private Sparse Linear Regression
 // (Algorithm 3); (ε, δ)-DP.
 func SparseLinReg(ds *Dataset, opt SparseLinRegOptions) ([]float64, error) {
-	return core.SparseLinReg(ds, opt)
+	return core.SparseLinRegSource(data.NewMemSource(ds), opt)
 }
 
 // SparseLinRegSource runs Algorithm 3 over a streaming source; chunks
@@ -285,7 +285,7 @@ func SparseLinRegSource(src Source, opt SparseLinRegOptions) ([]float64, error) 
 // SparseOpt runs Heavy-tailed Private Sparse Optimization
 // (Algorithm 5); (ε, δ)-DP.
 func SparseOpt(ds *Dataset, opt SparseOptOptions) ([]float64, error) {
-	return core.SparseOpt(ds, opt)
+	return core.SparseOptSource(data.NewMemSource(ds), opt)
 }
 
 // SparseOptSource runs Algorithm 5 over a streaming source. Output is
@@ -298,7 +298,7 @@ func SparseOptSource(src Source, opt SparseOptOptions) ([]float64, error) {
 // bounds the ℓ∞-sensitivity of v. The selection scan runs on all cores;
 // PeelingP selects the worker count explicitly.
 func Peeling(r *RNG, v []float64, s int, eps, delta, lambda float64) []float64 {
-	return core.Peeling(r, v, s, eps, delta, lambda)
+	return core.PeelingP(r, v, s, eps, delta, lambda, 0)
 }
 
 // PeelingP is Peeling with an explicit worker count (0 → GOMAXPROCS,
@@ -320,15 +320,10 @@ type (
 	FullDataFWOptions       = core.FullDataFWOptions
 )
 
-// SparseMean is the one-shot (ε, δ)-DP sparse heavy-tailed mean
-// estimator: robust coordinate means plus a single Peeling release.
-func SparseMean(x *Mat, opt SparseMeanOptions) ([]float64, error) {
-	return core.SparseMean(x, opt)
-}
-
-// SparseMeanSource is SparseMean over a streaming source (labels
-// ignored); the robust coordinate means accumulate one chunk at a
-// time.
+// SparseMeanSource is the one-shot (ε, δ)-DP sparse heavy-tailed
+// mean estimator over a source's feature rows (labels ignored): robust
+// coordinate means, accumulated one chunk at a time, plus a single
+// Peeling release.
 func SparseMeanSource(src Source, opt SparseMeanOptions) ([]float64, error) {
 	return core.SparseMeanSource(src, opt)
 }
@@ -342,14 +337,14 @@ func FullDataFWSource(src Source, opt FullDataFWOptions) ([]float64, error) {
 // RobustRegression runs the Theorem 3 instance: ε-DP Frank–Wolfe on the
 // non-convex biweight loss with the constant-step schedule.
 func RobustRegression(ds *Dataset, opt RobustRegressionOptions) ([]float64, error) {
-	return core.RobustRegression(ds, opt)
+	return core.RobustRegressionSource(data.NewMemSource(ds), opt)
 }
 
 // FullDataFW is the (ε, δ)-DP full-data variant of Algorithm 1 whose
 // utility analysis the paper leaves open; privacy holds by advanced
 // composition.
 func FullDataFW(ds *Dataset, opt FullDataFWOptions) ([]float64, error) {
-	return core.FullDataFW(ds, opt)
+	return core.FullDataFWSource(data.NewMemSource(ds), opt)
 }
 
 // Baselines (internal/core).
@@ -360,11 +355,6 @@ type (
 	RobustGaussianGDOptions = core.RobustGaussianGDOptions
 )
 
-// DPSGD runs minibatch DP-SGD with subsampling amplification.
-func DPSGD(ds *Dataset, opt DPSGDOptions) ([]float64, error) {
-	return core.DPSGD(ds, opt)
-}
-
 // The DPSGD accountants: AccountantCompose calibrates noise by the
 // classical amplification lemma plus advanced composition;
 // AccountantRDP by subsampled-Gaussian RDP (tighter σ at the same
@@ -374,11 +364,11 @@ const (
 	AccountantRDP     = core.AccountantRDP
 )
 
-// DPSGDSource runs minibatch DP-SGD over a streaming source, drawing
-// each batch by uniform random row access (Source.RowAt). Output is
-// bit-identical to DPSGD over the materialized dataset — the batch
-// draw order is a pure function of Rng, independent of backend and
-// Parallelism.
+// DPSGDSource runs minibatch DP-SGD with subsampling amplification
+// over a source, drawing each batch by uniform random row access
+// (Source.RowAt). Output is bit-identical on every backend serving the
+// same rows — the batch draw order is a pure function of Rng,
+// independent of backend and Parallelism.
 func DPSGDSource(src Source, opt DPSGDOptions) ([]float64, error) {
 	return core.DPSGDSource(src, opt)
 }
@@ -395,17 +385,17 @@ func NonprivateIHT(ds *Dataset, s, T int, eta float64) []float64 {
 
 // TalwarDPFW runs the clipping-based DP-FW baseline of [50].
 func TalwarDPFW(ds *Dataset, opt TalwarFWOptions) ([]float64, error) {
-	return core.TalwarDPFW(ds, opt)
+	return core.TalwarDPFWSource(data.NewMemSource(ds), opt)
 }
 
 // DPGD runs the gradient-clipping DP-GD baseline of [1].
 func DPGD(ds *Dataset, opt DPGDOptions) ([]float64, error) {
-	return core.DPGD(ds, opt)
+	return core.DPGDSource(data.NewMemSource(ds), opt)
 }
 
 // RobustGaussianGD runs the robust-plus-Gaussian baseline of [57].
 func RobustGaussianGD(ds *Dataset, opt RobustGaussianGDOptions) ([]float64, error) {
-	return core.RobustGaussianGD(ds, opt)
+	return core.RobustGaussianGDSource(data.NewMemSource(ds), opt)
 }
 
 // Robust statistics (internal/robust).

@@ -63,7 +63,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Extensions.
-	if _, err := htdp.SparseMean(sparse.X, htdp.SparseMeanOptions{
+	if _, err := htdp.SparseMeanSource(htdp.NewMemSource(sparse), htdp.SparseMeanOptions{
 		Eps: 1, Delta: 1e-5, SStar: 4, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFacadeRemainingWrappers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.DPSGD(ds, htdp.DPSGDOptions{
+	if _, err := htdp.DPSGDSource(htdp.NewMemSource(ds), htdp.DPSGDOptions{
 		Loss: htdp.LogisticLoss{}, Eps: 1, Delta: 1e-5, T: 5, Batch: 50, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)

@@ -360,7 +360,7 @@ func benchFWRun(workers int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.FrankWolfe(ds, core.FWOptions{
+			if _, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{
 				Loss: loss.Squared{}, Domain: dom, Eps: 1,
 				Parallelism: workers, Rng: randx.New(int64(i)),
 			}); err != nil {

@@ -73,7 +73,7 @@ func TestFrankWolfeIterationZeroAllocs(t *testing.T) {
 	ds := allocsDataset()
 	ball := polytope.NewL1Ball(50, 1)
 	counts := iterAllocs(t, func(tr Trace) {
-		if _, err := FrankWolfe(ds, FWOptions{
+		if _, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: ball, Eps: 1, T: allocsT,
 			Parallelism: 1, Rng: randx.New(1), Trace: tr,
 		}); err != nil {
@@ -86,7 +86,7 @@ func TestFrankWolfeIterationZeroAllocs(t *testing.T) {
 func TestSparseOptIterationZeroAllocs(t *testing.T) {
 	ds := allocsDataset()
 	counts := iterAllocs(t, func(tr Trace) {
-		if _, err := SparseOpt(ds, SparseOptOptions{
+		if _, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 5, T: allocsT,
 			Parallelism: 1, Rng: randx.New(2), Trace: tr,
 		}); err != nil {
@@ -99,7 +99,7 @@ func TestSparseOptIterationZeroAllocs(t *testing.T) {
 func TestSparseLinRegIterationZeroAllocs(t *testing.T) {
 	ds := allocsDataset()
 	counts := iterAllocs(t, func(tr Trace) {
-		if _, err := SparseLinReg(ds, SparseLinRegOptions{
+		if _, err := SparseLinRegSource(data.NewMemSource(ds), SparseLinRegOptions{
 			Eps: 1, Delta: 1e-5, SStar: 5, T: allocsT,
 			Parallelism: 1, Rng: randx.New(3), Trace: tr,
 		}); err != nil {
@@ -112,7 +112,7 @@ func TestSparseLinRegIterationZeroAllocs(t *testing.T) {
 func TestLassoIterationZeroAllocs(t *testing.T) {
 	ds := allocsDataset()
 	counts := iterAllocs(t, func(tr Trace) {
-		if _, err := Lasso(ds, LassoOptions{
+		if _, err := LassoSource(data.NewMemSource(ds), LassoOptions{
 			Eps: 1, Delta: 1e-5, T: allocsT, Parallelism: 1, Rng: randx.New(4), Trace: tr,
 		}); err != nil {
 			t.Fatal(err)

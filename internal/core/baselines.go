@@ -14,22 +14,14 @@ import (
 	"htdp/internal/vecmath"
 )
 
-// NonprivateFW runs exact Frank–Wolfe on an in-memory dataset; it is
-// NonprivateFWSource over a MemSource. The experiments use it both as
-// the ε→∞ reference and to compute the non-private optimum w* for
+// NonprivateFW runs exact Frank–Wolfe for T iterations: the full
+// empirical gradient — streamed over a MemSource one chunk at a time,
+// the summation order of every Source-based run — and exact linear
+// minimization over the vertex set. The experiments use it both as the
+// ε→∞ reference and to compute the non-private optimum w* for
 // excess-risk measurements (§6.2).
 func NonprivateFW(ds *data.Dataset, l loss.Loss, p polytope.Polytope, T int, w0 []float64) []float64 {
-	w, err := NonprivateFWSource(data.NewMemSource(ds), l, p, T, w0)
-	if err != nil {
-		panic(err) // unreachable: MemSource chunks cannot fail
-	}
-	return w
-}
-
-// NonprivateFWSource runs exact Frank–Wolfe for T iterations over a
-// data source: the full empirical gradient — streamed one chunk at a
-// time — and exact linear minimization over the vertex set.
-func NonprivateFWSource(src data.Source, l loss.Loss, p polytope.Polytope, T int, w0 []float64) ([]float64, error) {
+	src := data.NewMemSource(ds)
 	d := src.D()
 	w := make([]float64, d)
 	if w0 != nil {
@@ -40,30 +32,21 @@ func NonprivateFWSource(src data.Source, l loss.Loss, p polytope.Polytope, T int
 	var gws loss.GradWorkspace
 	for t := 1; t <= T; t++ {
 		if _, err := loss.FullGradientSourceWS(l, grad, w, src, 0, &gws); err != nil {
-			return nil, fmt.Errorf("core: NonprivateFW: %w", err)
+			panic(err) // unreachable: MemSource chunks cannot fail
 		}
 		p.Vertex(polytope.ArgminLinear(p, grad), vtx)
 		vecmath.Lerp(w, w, vtx, 2/float64(t+2))
 	}
-	return w, nil
-}
-
-// NonprivateIHT runs plain iterative hard thresholding on an in-memory
-// dataset; it is NonprivateIHTSource over a MemSource.
-func NonprivateIHT(ds *data.Dataset, s, T int, eta float64) []float64 {
-	w, err := NonprivateIHTSource(data.NewMemSource(ds), s, T, eta)
-	if err != nil {
-		panic(err) // unreachable: MemSource chunks cannot fail
-	}
 	return w
 }
 
-// NonprivateIHTSource runs plain iterative hard thresholding on the
-// squared loss over a data source: full-gradient steps — accumulated
-// chunk by chunk as r = Xw − y, grad += Xᵀr — followed by exact top-s
+// NonprivateIHT runs plain iterative hard thresholding on the squared
+// loss: full-gradient steps — accumulated over a MemSource chunk by
+// chunk as r = Xw − y, grad += Xᵀr — followed by exact top-s
 // truncation and projection onto the unit ℓ2 ball. The ε→∞ reference
 // for Algorithm 3.
-func NonprivateIHTSource(src data.Source, s, T int, eta float64) ([]float64, error) {
+func NonprivateIHT(ds *data.Dataset, s, T int, eta float64) []float64 {
+	src := data.NewMemSource(ds)
 	n, d := src.N(), src.D()
 	C := data.StreamChunks(n)
 	w := make([]float64, d)
@@ -85,31 +68,11 @@ func NonprivateIHTSource(src data.Source, s, T int, eta float64) ([]float64, err
 	for t := 1; t <= T; t++ {
 		vecmath.Zero(grad)
 		if err := data.EachChunk(src, C, chunkBody); err != nil {
-			return nil, fmt.Errorf("core: NonprivateIHT: %w", err)
+			panic(err) // unreachable: MemSource chunks cannot fail
 		}
 		vecmath.Axpy(-eta/float64(n), grad, w)
 		w = vecmath.HardThreshold(w, s)
 		vecmath.ProjectL2Ball(w, 1)
-	}
-	return w, nil
-}
-
-// NonprivateSparseGD runs full-gradient descent with exact hard
-// thresholding for an arbitrary loss — the ε→∞ reference for
-// Algorithm 5. The gradient streams over a MemSource chunk by chunk,
-// matching the summation order of every Source-based run.
-func NonprivateSparseGD(ds *data.Dataset, l loss.Loss, s, T int, eta float64) []float64 {
-	src := data.NewMemSource(ds)
-	d := ds.D()
-	w := make([]float64, d)
-	grad := make([]float64, d)
-	var gws loss.GradWorkspace
-	for t := 1; t <= T; t++ {
-		if _, err := loss.FullGradientSourceWS(l, grad, w, src, 0, &gws); err != nil {
-			panic(err) // unreachable: MemSource chunks cannot fail
-		}
-		vecmath.Axpy(-eta, grad, w)
-		w = vecmath.HardThreshold(w, s)
 	}
 	return w
 }
@@ -133,12 +96,6 @@ type TalwarFWOptions struct {
 	Rng         *randx.RNG
 }
 
-// TalwarDPFW runs the [50]-style DP-FW baseline on an in-memory
-// dataset; it is TalwarDPFWSource over a MemSource.
-func TalwarDPFW(ds *data.Dataset, opt TalwarFWOptions) ([]float64, error) {
-	return TalwarDPFWSource(data.NewMemSource(ds), opt)
-}
-
 // TalwarDPFWSource runs the [50]-style DP-FW baseline over a data
 // source. Each iteration scores vertices against the clipped full-data
 // gradient, accumulated one chunk at a time; the score sensitivity is
@@ -155,6 +112,9 @@ func TalwarDPFWSource(src data.Source, opt TalwarFWOptions) ([]float64, error) {
 		return nil, errors.New("core: TalwarDPFW needs δ > 0")
 	}
 	n, d := src.N(), src.D()
+	if err := checkData(n, d, opt.Domain, opt.W0); err != nil {
+		return nil, err
+	}
 	if opt.T == 0 {
 		opt.T = int(math.Ceil(math.Pow(float64(n)*opt.Eps, 2.0/3)))
 	}
@@ -178,7 +138,7 @@ func TalwarDPFWSource(src data.Source, opt TalwarFWOptions) ([]float64, error) {
 	sel := newVertexSelector(opt.Domain, grad)
 	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.Clip(buf, opt.GradBound) })
 	chunkBody := func(_ int, ck *data.Dataset) error {
-		gsum.run(part, w, ck, nil, opt.Parallelism)
+		gsum.run(part, w, ck, opt.Parallelism)
 		vecmath.Axpy(1, part, grad)
 		return nil
 	}
@@ -213,12 +173,6 @@ type DPGDOptions struct {
 	Rng         *randx.RNG
 }
 
-// DPGD runs the clipping DP-GD baseline on an in-memory dataset; it is
-// DPGDSource over a MemSource.
-func DPGD(ds *data.Dataset, opt DPGDOptions) ([]float64, error) {
-	return DPGDSource(data.NewMemSource(ds), opt)
-}
-
 // DPGDSource runs noisy projected gradient descent over a data source,
 // streaming the full data each step one chunk at a time. Replacing a
 // sample moves the clipped mean gradient by at most 2C/n in ℓ2, so
@@ -243,6 +197,9 @@ func DPGDSource(src data.Source, opt DPGDOptions) ([]float64, error) {
 		opt.LR = 0.1
 	}
 	n, d := src.N(), src.D()
+	if err := checkData(n, d, nil, nil); err != nil {
+		return nil, err
+	}
 	C := data.StreamChunks(n)
 	perIter, err := dp.AdvancedComposition(dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T)
 	if err != nil {
@@ -255,7 +212,7 @@ func DPGDSource(src data.Source, opt DPGDOptions) ([]float64, error) {
 	part := make([]float64, d)
 	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
 	chunkBody := func(_ int, ck *data.Dataset) error {
-		gsum.run(part, w, ck, nil, opt.Parallelism)
+		gsum.run(part, w, ck, opt.Parallelism)
 		vecmath.Axpy(1, part, grad)
 		return nil
 	}
@@ -321,8 +278,7 @@ type DPSGDOptions struct {
 
 // dpsgdResolve validates opt, applies the documented defaults in
 // place, and returns the calibrated per-coordinate noise level σ for a
-// dataset of n rows. Shared by DPSGD and DPSGDSource so both variants
-// resolve — bit-identically — to the same σ.
+// dataset of n rows.
 func dpsgdResolve(opt *DPSGDOptions, n int) (float64, error) {
 	if opt.Loss == nil || opt.Rng == nil {
 		return 0, errors.New("core: DPSGDOptions needs Loss and Rng")
@@ -377,28 +333,46 @@ func dpsgdResolve(opt *DPSGDOptions, n int) (float64, error) {
 	}
 }
 
-// dpsgdLoop is the step loop shared by DPSGD and DPSGDSource. The
-// subsampling-order determinism story lives here: every step draws its
-// Batch indices sequentially from the single Rng stream, then gradStep
-// fills grad with the clipped batch-gradient sum, then the d noise
-// coordinates are drawn from the same stream. The Rng consumption per
-// step — Batch Intn draws followed by d Normal draws — is therefore a
-// pure function of the options, never of the backend, Parallelism, or
-// scheduling, which is what makes runs bit-identical everywhere.
-func dpsgdLoop(opt DPSGDOptions, n, d int, sigma float64,
-	gradStep func(grad, w []float64, batch []int) error) ([]float64, error) {
+// DPSGDSource runs minibatch noisy SGD over any data source. Privacy:
+// one step on a uniform batch of size b is (ε₀, δ₀)-DP with ε₀
+// amplified by q = b/n; the Accountant chooses the noise level so that
+// T steps compose to (ε, δ).
+//
+// Every step draws its Batch row indices sequentially from the single
+// Rng stream, gathering each row through Source.RowAt into a reusable
+// scratch dataset; the sharded clipped-gradient sum reduces the batch,
+// and the d noise coordinates are then drawn from the same stream. The
+// Rng consumption per step — Batch Intn draws followed by d Normal
+// draws — is therefore a pure function of the options, never of the
+// backend, Parallelism, or scheduling, which is what makes runs
+// bit-identical everywhere. Peak residency beyond the source's own
+// cache is one batch (Batch·d floats).
+func DPSGDSource(src data.Source, opt DPSGDOptions) ([]float64, error) {
+	n, d := src.N(), src.D()
+	if err := checkData(n, d, nil, nil); err != nil {
+		return nil, err
+	}
+	sigma, err := dpsgdResolve(&opt, n)
+	if err != nil {
+		return nil, err
+	}
+	gx := &vecmath.Mat{Rows: opt.Batch, Cols: d, Data: make([]float64, opt.Batch*d)}
+	gy := make([]float64, opt.Batch)
+	gathered := &data.Dataset{X: gx, Y: gy}
+	rowBuf := make([]float64, d)
+	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
 	w := make([]float64, d)
 	grad := make([]float64, d)
-	batch := make([]int, opt.Batch)
 	for t := 1; t <= opt.T; t++ {
-		// Draw the batch on the single sequential stream, then fan the
-		// clipped-gradient sum out over batch shards.
-		for b := range batch {
-			batch[b] = opt.Rng.Intn(n)
+		for b := 0; b < opt.Batch; b++ {
+			x, y, err := src.RowAt(opt.Rng.Intn(n), rowBuf)
+			if err != nil {
+				return nil, fmt.Errorf("core: DPSGD step %d: %w", t, err)
+			}
+			copy(gx.Row(b), x)
+			gy[b] = y
 		}
-		if err := gradStep(grad, w, batch); err != nil {
-			return nil, fmt.Errorf("core: DPSGD step %d: %w", t, err)
-		}
+		gsum.run(grad, w, gathered, opt.Parallelism)
 		vecmath.Scale(grad, 1/float64(opt.Batch))
 		for j := range grad {
 			grad[j] += sigma * opt.Rng.Normal()
@@ -409,56 +383,6 @@ func dpsgdLoop(opt DPSGDOptions, n, d int, sigma float64,
 		}
 	}
 	return w, nil
-}
-
-// DPSGD runs minibatch noisy SGD on an in-memory dataset. Privacy: one
-// step on a uniform batch of size b is (ε₀, δ₀)-DP with ε₀ amplified
-// by q = b/n; the Accountant chooses the noise level so that T steps
-// compose to (ε, δ). Bit-identical to DPSGDSource over a MemSource of
-// the same dataset (the property TestDPSGDDeterminism pins).
-func DPSGD(ds *data.Dataset, opt DPSGDOptions) ([]float64, error) {
-	sigma, err := dpsgdResolve(&opt, ds.N())
-	if err != nil {
-		return nil, err
-	}
-	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
-	return dpsgdLoop(opt, ds.N(), ds.D(), sigma, func(grad, w []float64, batch []int) error {
-		gsum.run(grad, w, ds, batch, opt.Parallelism)
-		return nil
-	})
-}
-
-// DPSGDSource runs minibatch noisy SGD over any data source: each
-// step's uniform batch is gathered row by row through Source.RowAt into
-// a reusable scratch dataset, then reduced by the same sharded
-// clipped-gradient sum as DPSGD — identical row bytes in identical
-// batch order, so partial sums, noise draws, and the final weights are
-// bit-identical to DPSGD on the materialized data, on every backend
-// and at every Parallelism. Peak residency beyond the source's own
-// cache is one batch (Batch·d floats).
-func DPSGDSource(src data.Source, opt DPSGDOptions) ([]float64, error) {
-	n, d := src.N(), src.D()
-	sigma, err := dpsgdResolve(&opt, n)
-	if err != nil {
-		return nil, err
-	}
-	gx := &vecmath.Mat{Rows: opt.Batch, Cols: d, Data: make([]float64, opt.Batch*d)}
-	gy := make([]float64, opt.Batch)
-	gathered := &data.Dataset{X: gx, Y: gy}
-	rowBuf := make([]float64, d)
-	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
-	return dpsgdLoop(opt, n, d, sigma, func(grad, w []float64, batch []int) error {
-		for b, i := range batch {
-			x, y, err := src.RowAt(i, rowBuf)
-			if err != nil {
-				return err
-			}
-			copy(gx.Row(b), x)
-			gy[b] = y
-		}
-		gsum.run(grad, w, gathered, nil, opt.Parallelism)
-		return nil
-	})
 }
 
 // RobustGaussianGDOptions configures the low-dimensional baseline in the
@@ -482,12 +406,6 @@ type RobustGaussianGDOptions struct {
 	Rng         *randx.RNG
 }
 
-// RobustGaussianGD runs the [57]-style baseline on an in-memory
-// dataset; it is RobustGaussianGDSource over a MemSource.
-func RobustGaussianGD(ds *data.Dataset, opt RobustGaussianGDOptions) ([]float64, error) {
-	return RobustGaussianGDSource(data.NewMemSource(ds), opt)
-}
-
 // RobustGaussianGDSource runs the [57]-style baseline over a data
 // source; iteration t loads only chunk t−1 of T. The robust estimate
 // of one chunk has ℓ2-sensitivity √d·4√2·s/(3m); Gaussian noise at the
@@ -507,6 +425,9 @@ func RobustGaussianGDSource(src data.Source, opt RobustGaussianGDOptions) ([]flo
 		opt.T = 20
 	}
 	n, d := src.N(), src.D()
+	if err := checkData(n, d, nil, nil); err != nil {
+		return nil, err
+	}
 	if opt.T > n {
 		opt.T = n
 	}

@@ -25,26 +25,10 @@ func TestNonprivateIHTRecovery(t *testing.T) {
 	}
 }
 
-func TestNonprivateSparseGD(t *testing.T) {
-	r := randx.New(2)
-	d, sStar := 30, 3
-	w := data.SparseWStar(r, d, sStar)
-	ds := data.Linear(r, data.LinearOpt{
-		N: 3000, D: d, Feature: randx.Normal{Mu: 0, Sigma: 1}, WStar: w,
-	})
-	got := NonprivateSparseGD(ds, loss.Squared{}, sStar, 200, 0.2)
-	if dist := vecmath.Dist2(got, w); dist > 0.05 {
-		t.Fatalf("sparse GD recovery distance %v", dist)
-	}
-	if vecmath.Norm0(got) > sStar {
-		t.Fatalf("support %d", vecmath.Norm0(got))
-	}
-}
-
 func TestTalwarDPFW(t *testing.T) {
 	ds := linearL1Workload(3, 10000, 10)
 	dom := polytope.NewL1Ball(10, 1)
-	w, err := TalwarDPFW(ds, TalwarFWOptions{
+	w, err := TalwarDPFWSource(data.NewMemSource(ds), TalwarFWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 2, Delta: 1e-5,
 		GradBound: 5, Rng: randx.New(4), T: 50,
 	})
@@ -59,10 +43,10 @@ func TestTalwarDPFW(t *testing.T) {
 		t.Fatal("no improvement")
 	}
 	// Validation.
-	if _, err := TalwarDPFW(ds, TalwarFWOptions{Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: randx.New(5)}); err == nil {
+	if _, err := TalwarDPFWSource(data.NewMemSource(ds), TalwarFWOptions{Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: randx.New(5)}); err == nil {
 		t.Error("accepted δ=0")
 	}
-	if _, err := TalwarDPFW(ds, TalwarFWOptions{Eps: 1, Delta: 1e-5}); err == nil {
+	if _, err := TalwarDPFWSource(data.NewMemSource(ds), TalwarFWOptions{Eps: 1, Delta: 1e-5}); err == nil {
 		t.Error("accepted missing fields")
 	}
 }
@@ -70,7 +54,7 @@ func TestTalwarDPFW(t *testing.T) {
 func TestDPGD(t *testing.T) {
 	ds := linearL1Workload(6, 10000, 8)
 	dom := polytope.NewL1Ball(8, 1)
-	w, err := DPGD(ds, DPGDOptions{
+	w, err := DPGDSource(data.NewMemSource(ds), DPGDOptions{
 		Loss: loss.Squared{}, Eps: 2, Delta: 1e-5,
 		Project: dom.Project, Clip: 4, LR: 0.05, T: 40, Rng: randx.New(7),
 	})
@@ -84,7 +68,7 @@ func TestDPGD(t *testing.T) {
 	if loss.Empirical(loss.Squared{}, w, ds.X, ds.Y) >= loss.Empirical(loss.Squared{}, zero, ds.X, ds.Y) {
 		t.Fatal("no improvement")
 	}
-	if _, err := DPGD(ds, DPGDOptions{Loss: loss.Squared{}, Eps: 1, Rng: randx.New(8)}); err == nil {
+	if _, err := DPGDSource(data.NewMemSource(ds), DPGDOptions{Loss: loss.Squared{}, Eps: 1, Rng: randx.New(8)}); err == nil {
 		t.Error("accepted δ=0")
 	}
 }
@@ -98,7 +82,7 @@ func TestRobustGaussianGD(t *testing.T) {
 	var tot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		w, err := RobustGaussianGD(ds, RobustGaussianGDOptions{
+		w, err := RobustGaussianGDSource(data.NewMemSource(ds), RobustGaussianGDOptions{
 			Loss: loss.Squared{}, Eps: 2, Delta: 1e-5,
 			Project: func(w []float64) []float64 { return vecmath.ProjectL1Ball(w, 1) },
 			LR:      0.02, T: 30, S: 10, Rng: randx.New(10 + k),
@@ -127,7 +111,7 @@ func TestFWExcessNearlyFlatInDimension(t *testing.T) {
 		var tot float64
 		const reps = 4
 		for k := int64(0); k < reps; k++ {
-			w, err := FrankWolfe(ds, FWOptions{
+			w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 				Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: randx.New(seed*100 + k),
 			})
 			if err != nil {
@@ -149,7 +133,7 @@ func TestFWExcessNearlyFlatInDimension(t *testing.T) {
 func TestDPSGD(t *testing.T) {
 	ds := linearL1Workload(20, 10000, 8)
 	dom := polytope.NewL1Ball(8, 1)
-	w, err := DPSGD(ds, DPSGDOptions{
+	w, err := DPSGDSource(data.NewMemSource(ds), DPSGDOptions{
 		Loss: loss.Squared{}, Eps: 2, Delta: 1e-5,
 		Project: dom.Project, Clip: 4, LR: 0.02, T: 100, Batch: 500,
 		Rng: randx.New(21),
@@ -164,7 +148,7 @@ func TestDPSGD(t *testing.T) {
 	if loss.Empirical(loss.Squared{}, w, ds.X, ds.Y) >= loss.Empirical(loss.Squared{}, zero, ds.X, ds.Y) {
 		t.Fatal("no improvement")
 	}
-	if _, err := DPSGD(ds, DPSGDOptions{Loss: loss.Squared{}, Eps: 1, Rng: randx.New(22)}); err == nil {
+	if _, err := DPSGDSource(data.NewMemSource(ds), DPSGDOptions{Loss: loss.Squared{}, Eps: 1, Rng: randx.New(22)}); err == nil {
 		t.Error("accepted δ=0")
 	}
 }
@@ -177,7 +161,7 @@ func TestDPSGDAmplificationHelps(t *testing.T) {
 	ds := linearL1Workload(23, 5000, 5)
 	dom := polytope.NewL1Ball(5, 1)
 	for _, batch := range []int{100, 5000} {
-		w, err := DPSGD(ds, DPSGDOptions{
+		w, err := DPSGDSource(data.NewMemSource(ds), DPSGDOptions{
 			Loss: loss.Squared{}, Eps: 1, Delta: 1e-5,
 			Project: dom.Project, Clip: 4, LR: 0.02, T: 50, Batch: batch,
 			Rng: randx.New(24),
@@ -197,13 +181,13 @@ func TestFrankWolfeAveraging(t *testing.T) {
 	var lastTot, avgTot float64
 	const reps = 5
 	for k := int64(0); k < reps; k++ {
-		last, err := FrankWolfe(ds, FWOptions{
+		last, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: randx.New(30 + k),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		avg, err := FrankWolfe(ds, FWOptions{
+		avg, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: dom, Eps: 1, Average: true, Rng: randx.New(30 + k),
 		})
 		if err != nil {
@@ -224,7 +208,7 @@ func TestFrankWolfeAveraging(t *testing.T) {
 func TestDPGDDefaultsApplied(t *testing.T) {
 	ds := linearL1Workload(12, 500, 4)
 	opt := DPGDOptions{Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, Rng: randx.New(13)}
-	if _, err := DPGD(ds, opt); err != nil {
+	if _, err := DPGDSource(data.NewMemSource(ds), opt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -235,7 +219,7 @@ func TestTalwarDefaultT(t *testing.T) {
 		Loss: loss.Squared{}, Domain: polytope.NewL1Ball(4, 1),
 		Eps: 1, Delta: 1e-5, Rng: randx.New(15),
 	}
-	if _, err := TalwarDPFW(ds, opt); err != nil {
+	if _, err := TalwarDPFWSource(data.NewMemSource(ds), opt); err != nil {
 		t.Fatal(err)
 	}
 	_ = math.Pow // keep math import if unused elsewhere

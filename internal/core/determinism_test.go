@@ -40,7 +40,7 @@ func TestParallelismDeterminism(t *testing.T) {
 
 	algos := map[string]func(p int) []float64{
 		"FrankWolfe": func(p int) []float64 {
-			w, err := FrankWolfe(ds, FWOptions{
+			w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, T: 5,
 				Parallelism: p, Rng: randx.New(1),
 			})
@@ -50,7 +50,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"Lasso": func(p int) []float64 {
-			w, err := Lasso(ds, LassoOptions{
+			w, err := LassoSource(data.NewMemSource(ds), LassoOptions{
 				Eps: 1, Delta: 1e-5, T: 5, Parallelism: p, Rng: randx.New(2),
 			})
 			if err != nil {
@@ -59,7 +59,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseLinReg": func(p int) []float64 {
-			w, err := SparseLinReg(ds, SparseLinRegOptions{
+			w, err := SparseLinRegSource(data.NewMemSource(ds), SparseLinRegOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, T: 4, Parallelism: p, Rng: randx.New(3),
 			})
 			if err != nil {
@@ -68,7 +68,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseOpt": func(p int) []float64 {
-			w, err := SparseOpt(ds, SparseOptOptions{
+			w, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 5, T: 4,
 				Parallelism: p, Rng: randx.New(4),
 			})
@@ -78,7 +78,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseMean": func(p int) []float64 {
-			w, err := SparseMean(ds.X, SparseMeanOptions{
+			w, err := SparseMeanSource(data.NewMemSource(ds), SparseMeanOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, Parallelism: p, Rng: randx.New(5),
 			})
 			if err != nil {
@@ -87,7 +87,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"FullDataFW": func(p int) []float64 {
-			w, err := FullDataFW(ds, FullDataFWOptions{
+			w, err := FullDataFWSource(data.NewMemSource(ds), FullDataFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(6),
 			})
@@ -97,7 +97,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"RobustRegression": func(p int) []float64 {
-			w, err := RobustRegression(ds, RobustRegressionOptions{
+			w, err := RobustRegressionSource(data.NewMemSource(ds), RobustRegressionOptions{
 				Eps: 1, T: 4, Parallelism: p, Rng: randx.New(7),
 			})
 			if err != nil {
@@ -106,7 +106,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"TalwarDPFW": func(p int) []float64 {
-			w, err := TalwarDPFW(ds, TalwarFWOptions{
+			w, err := TalwarDPFWSource(data.NewMemSource(ds), TalwarFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(8),
 			})
@@ -116,7 +116,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"DPGD": func(p int) []float64 {
-			w, err := DPGD(dsCls, DPGDOptions{
+			w, err := DPGDSource(data.NewMemSource(dsCls), DPGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(9),
 			})
@@ -126,7 +126,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"DPSGD": func(p int) []float64 {
-			w, err := DPSGD(dsCls, DPSGDOptions{
+			w, err := DPSGDSource(data.NewMemSource(dsCls), DPSGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 6, Batch: 50,
 				Parallelism: p, Rng: randx.New(10),
 			})
@@ -136,7 +136,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"RobustGaussianGD": func(p int) []float64 {
-			w, err := RobustGaussianGD(dsCls, RobustGaussianGDOptions{
+			w, err := RobustGaussianGDSource(data.NewMemSource(dsCls), RobustGaussianGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(11),
 			})
@@ -184,9 +184,6 @@ func TestNonprivateDeterminism(t *testing.T) {
 		"NonprivateIHT": func() []float64 {
 			return NonprivateIHT(ds, 5, 5, 0.5)
 		},
-		"NonprivateSparseGD": func() []float64 {
-			return NonprivateSparseGD(ds, loss.Squared{}, 5, 5, 0.1)
-		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
@@ -210,13 +207,13 @@ func TestCoreStressRace(t *testing.T) {
 	ds := determinismDataset(19, 150, 7)
 	many := 8 * runtime.GOMAXPROCS(0)
 	for rep := 0; rep < 5; rep++ {
-		if _, err := FrankWolfe(ds, FWOptions{
+		if _, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: polytope.NewL1Ball(7, 1), Eps: 1, T: 3,
 			Parallelism: many, Rng: randx.New(int64(rep)),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SparseOpt(ds, SparseOptOptions{
+		if _, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 2, T: 3,
 			Parallelism: many, Rng: randx.New(int64(rep)),
 		}); err != nil {

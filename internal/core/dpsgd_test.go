@@ -26,7 +26,7 @@ var updateDPSGD = flag.Bool("update", false, "rewrite testdata/dpsgd_golden.json
 
 // dpsgdFixture builds the three direct backends over the same 600×40
 // rows plus a SourcePool serving the same bytes under the same names.
-func dpsgdFixture(t *testing.T) (ds *data.Dataset, direct map[string]data.Source, pool *data.SourcePool) {
+func dpsgdFixture(t *testing.T) (direct map[string]data.Source, pool *data.SourcePool) {
 	t.Helper()
 	gen := data.LinearSource(41, data.LinearOpt{
 		N: 600, D: 40,
@@ -63,7 +63,7 @@ func dpsgdFixture(t *testing.T) (ds *data.Dataset, direct map[string]data.Source
 	direct = map[string]data.Source{
 		"mem": data.NewMemSource(full), "csv": csvSrc, "gen": gen,
 	}
-	return full, direct, pool
+	return direct, pool
 }
 
 func dpsgdOpt(p int, accountant string) DPSGDOptions {
@@ -86,23 +86,16 @@ func assertSameWeights(t *testing.T, ctx string, got, want []float64) {
 }
 
 func TestDPSGDDeterminism(t *testing.T) {
-	ds, direct, pool := dpsgdFixture(t)
+	direct, pool := dpsgdFixture(t)
 	for _, acct := range []string{AccountantCompose, AccountantRDP} {
 		t.Run(acct, func(t *testing.T) {
 			want, err := DPSGDSource(direct["mem"], dpsgdOpt(1, acct))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The Dataset variant is pinned equal to DPSGDSource over a
-			// MemSource of the same rows — one algorithm, two entry points.
-			fromDS, err := DPSGD(ds, dpsgdOpt(1, acct))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameWeights(t, "DPSGD(Dataset)", fromDS, want)
 			// "" resolves to the compose accountant.
 			if acct == AccountantCompose {
-				plain, err := DPSGD(ds, dpsgdOpt(1, ""))
+				plain, err := DPSGDSource(direct["mem"], dpsgdOpt(1, ""))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +133,7 @@ func TestDPSGDDeterminism(t *testing.T) {
 // results bit-identical to a direct run. Under -race this also shakes
 // out sharing bugs between handles (the CSV offset index, gen clones).
 func TestDPSGDPoolConcurrent(t *testing.T) {
-	_, direct, pool := dpsgdFixture(t)
+	direct, pool := dpsgdFixture(t)
 	want, err := DPSGDSource(direct["mem"], dpsgdOpt(1, AccountantCompose))
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +177,7 @@ func TestDPSGDPoolConcurrent(t *testing.T) {
 }
 
 func TestDPSGDErrors(t *testing.T) {
-	ds, direct, _ := dpsgdFixture(t)
-	bad := dpsgdOpt(1, "exotic")
-	if _, err := DPSGD(ds, bad); err == nil {
-		t.Fatal("unknown accountant accepted by DPSGD")
-	}
+	direct, _ := dpsgdFixture(t)
 	if _, err := DPSGDSource(direct["mem"], dpsgdOpt(1, "exotic")); err == nil {
 		t.Fatal("unknown accountant accepted by DPSGDSource")
 	}
@@ -206,7 +195,7 @@ func TestDPSGDErrors(t *testing.T) {
 //
 //	go test ./internal/core -run TestDPSGDGolden -update
 func TestDPSGDGolden(t *testing.T) {
-	_, direct, _ := dpsgdFixture(t)
+	direct, _ := dpsgdFixture(t)
 	type goldenFile struct {
 		Compose []float64 `json:"compose"`
 		RDP     []float64 `json:"rdp"`

@@ -47,13 +47,6 @@ type SparseMeanOptions struct {
 	Rng         *randx.RNG
 }
 
-// SparseMean privately estimates an s*-sparse mean from the rows of an
-// in-memory matrix; it is SparseMeanSource over a MemSource.
-func SparseMean(x *vecmath.Mat, opt SparseMeanOptions) ([]float64, error) {
-	ds := &data.Dataset{Label: "sparsemean", X: x, Y: make([]float64, x.Rows)}
-	return SparseMeanSource(data.NewMemSource(ds), opt)
-}
-
 // SparseMeanSource privately estimates an s*-sparse mean of the
 // source's feature rows (labels are ignored), streaming the robust
 // coordinate-wise mean one chunk at a time. The estimate has
@@ -70,8 +63,8 @@ func SparseMeanSource(src data.Source, opt SparseMeanOptions) ([]float64, error)
 		return nil, errors.New("core: SparseMean needs δ > 0")
 	}
 	n, d := src.N(), src.D()
-	if n < 1 {
-		return nil, errors.New("core: empty data")
+	if err := checkData(n, d, nil, nil); err != nil {
+		return nil, err
 	}
 	if opt.SStar < 1 || opt.SStar > d {
 		return nil, fmt.Errorf("core: SStar=%d outside [1,%d]", opt.SStar, d)
@@ -125,12 +118,6 @@ type RobustRegressionOptions struct {
 	Parallelism int
 	Rng         *randx.RNG
 	Trace       Trace
-}
-
-// RobustRegression runs the Theorem 3 robust-regression algorithm on
-// an in-memory dataset; it is RobustRegressionSource over a MemSource.
-func RobustRegression(ds *data.Dataset, opt RobustRegressionOptions) ([]float64, error) {
-	return RobustRegressionSource(data.NewMemSource(ds), opt)
 }
 
 // RobustRegressionSource runs the Theorem 3 robust-regression
@@ -204,12 +191,6 @@ type FullDataFWOptions struct {
 	Trace       Trace
 }
 
-// FullDataFW runs the full-data heavy-tailed DP-FW on an in-memory
-// dataset; it is FullDataFWSource over a MemSource.
-func FullDataFW(ds *data.Dataset, opt FullDataFWOptions) ([]float64, error) {
-	return FullDataFWSource(data.NewMemSource(ds), opt)
-}
-
 // FullDataFWSource runs the full-data heavy-tailed DP-FW over a data
 // source; each iteration streams the whole source one chunk at a time
 // through a robust.StreamMean accumulator, so at most one chunk is
@@ -230,11 +211,8 @@ func FullDataFWSource(src data.Source, opt FullDataFWOptions) ([]float64, error)
 		return nil, errors.New("core: FullDataFW needs δ > 0")
 	}
 	n, d := src.N(), src.D()
-	if n < 1 {
-		return nil, errors.New("core: empty dataset")
-	}
-	if opt.Domain.Dim() != d {
-		return nil, fmt.Errorf("core: domain dim %d != data dim %d", opt.Domain.Dim(), d)
+	if err := checkData(n, d, opt.Domain, opt.W0); err != nil {
+		return nil, err
 	}
 	if opt.Beta == 0 {
 		opt.Beta = 1

@@ -24,6 +24,11 @@ func sparseMeanData(seed int64, n, d int, mu []float64) *vecmath.Mat {
 	return x
 }
 
+// sparseMean runs SparseMeanSource over the rows of x.
+func sparseMean(x *vecmath.Mat, opt SparseMeanOptions) ([]float64, error) {
+	return SparseMeanSource(data.NewMemSource(&data.Dataset{X: x, Y: make([]float64, x.Rows)}), opt)
+}
+
 func TestSparseMeanValidation(t *testing.T) {
 	x := vecmath.NewMat(10, 5)
 	r := randx.New(1)
@@ -34,11 +39,11 @@ func TestSparseMeanValidation(t *testing.T) {
 		"bad-sstar": {Eps: 1, Delta: 1e-5, SStar: 9, Rng: r},
 	}
 	for name, opt := range cases {
-		if _, err := SparseMean(x, opt); err == nil {
+		if _, err := sparseMean(x, opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, err := SparseMean(vecmath.NewMat(0, 5), SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: 2, Rng: r}); err == nil {
+	if _, err := sparseMean(vecmath.NewMat(0, 5), SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: 2, Rng: r}); err == nil {
 		t.Error("empty data accepted")
 	}
 }
@@ -51,7 +56,7 @@ func TestSparseMeanRecovers(t *testing.T) {
 	var tot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		got, err := SparseMean(x, SparseMeanOptions{
+		got, err := sparseMean(x, SparseMeanOptions{
 			Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(3 + k),
 		})
 		if err != nil {
@@ -79,11 +84,11 @@ func TestSparseMeanOneShotVsIterative(t *testing.T) {
 	var oneTot, iterTot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		one, err := SparseMean(x, SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(10 + k)})
+		one, err := sparseMean(x, SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(10 + k)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := SparseOpt(ds, SparseOptOptions{
+		it, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.MeanSquared{}, Eps: 1, Delta: 1e-5, SStar: sStar, Eta: 0.45, Rng: randx.New(20 + k),
 		})
 		if err != nil {
@@ -112,7 +117,7 @@ func TestRobustRegression(t *testing.T) {
 		Noise:   randx.Scaled{Base: randx.StudentT{Nu: 2.5}, Factor: 0.3}, // symmetric, heavy
 		WStar:   wStar,
 	})
-	w, err := RobustRegression(ds, RobustRegressionOptions{
+	w, err := RobustRegressionSource(data.NewMemSource(ds), RobustRegressionOptions{
 		C: 2, Eps: 2, Rng: randx.New(6),
 	})
 	if err != nil {
@@ -126,7 +131,7 @@ func TestRobustRegression(t *testing.T) {
 	if loss.Empirical(l, w, ds.X, ds.Y) >= loss.Empirical(l, zero, ds.X, ds.Y) {
 		t.Fatal("no improvement on biweight risk")
 	}
-	if _, err := RobustRegression(ds, RobustRegressionOptions{Eps: 1}); err == nil {
+	if _, err := RobustRegressionSource(data.NewMemSource(ds), RobustRegressionOptions{Eps: 1}); err == nil {
 		t.Error("missing Rng accepted")
 	}
 }
@@ -143,7 +148,7 @@ func TestFullDataFWValidation(t *testing.T) {
 		"w0-out":   {Loss: loss.Squared{}, Domain: dom, Eps: 1, Delta: 1e-5, Rng: r, W0: []float64{9, 0, 0, 0, 0}},
 	}
 	for name, opt := range cases {
-		if _, err := FullDataFW(ds, opt); err == nil {
+		if _, err := FullDataFWSource(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -153,7 +158,7 @@ func TestFullDataFWFeasibleAndImproves(t *testing.T) {
 	ds := linearL1Workload(9, 20000, 20)
 	dom := polytope.NewL1Ball(20, 1)
 	var violated bool
-	w, err := FullDataFW(ds, FullDataFWOptions{
+	w, err := FullDataFWSource(data.NewMemSource(ds), FullDataFWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 1, Delta: 1e-5, Rng: randx.New(10),
 		Trace: func(t int, w []float64) {
 			if !dom.Contains(w, 1e-9) {
@@ -179,7 +184,7 @@ func TestFullDataFWUsesMoreIterations(t *testing.T) {
 	// Θ((nε)^{1/3}) rounds on n/T samples.
 	ds := linearL1Workload(11, 8000, 10)
 	var fullT, splitT int
-	_, err := FullDataFW(ds, FullDataFWOptions{
+	_, err := FullDataFWSource(data.NewMemSource(ds), FullDataFWOptions{
 		Loss: loss.Squared{}, Domain: polytope.NewL1Ball(10, 1), Eps: 1, Delta: 1e-5,
 		Rng:   randx.New(12),
 		Trace: func(t int, _ []float64) { fullT = t },
@@ -187,7 +192,7 @@ func TestFullDataFWUsesMoreIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = FrankWolfe(ds, FWOptions{
+	_, err = FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Squared{}, Domain: polytope.NewL1Ball(10, 1), Eps: 1,
 		Rng:   randx.New(13),
 		Trace: func(t int, _ []float64) { splitT = t },

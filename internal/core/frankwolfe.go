@@ -28,6 +28,23 @@ import (
 // option struct with a Trace field calls it for diagnostics and tests.
 type Trace func(t int, w []float64)
 
+// checkData is the shape check every entry point runs on its source
+// and options before any arithmetic: the data must be non-empty, and
+// the domain and initial iterate, where the options take them (dom and
+// w0 may be nil), must match the data's dimension.
+func checkData(n, d int, dom polytope.Polytope, w0 []float64) error {
+	if n < 1 {
+		return errors.New("core: empty dataset")
+	}
+	if dom != nil && dom.Dim() != d {
+		return fmt.Errorf("core: domain dim %d != data dim %d", dom.Dim(), d)
+	}
+	if w0 != nil && len(w0) != d {
+		return fmt.Errorf("core: W0 length %d != data dim %d", len(w0), d)
+	}
+	return nil
+}
+
 // FWOptions configures Heavy-tailed DP-FW (Algorithm 1), the ε-DP
 // Frank–Wolfe over a polytope with a Catoni-style robust coordinate-wise
 // gradient estimator and the exponential mechanism as linear oracle.
@@ -77,11 +94,8 @@ func (o *FWOptions) fill(n, d int) error {
 	if err := (dp.Params{Eps: o.Eps}).Validate(); err != nil {
 		return err
 	}
-	if n < 1 {
-		return errors.New("core: empty dataset")
-	}
-	if o.Domain.Dim() != d {
-		return fmt.Errorf("core: domain dim %d != data dim %d", o.Domain.Dim(), d)
+	if err := checkData(n, d, o.Domain, o.W0); err != nil {
+		return err
 	}
 	if o.Beta == 0 {
 		o.Beta = 1
@@ -119,14 +133,6 @@ func (o *FWOptions) fill(n, d int) error {
 		return errors.New("core: W0 outside the domain")
 	}
 	return nil
-}
-
-// FrankWolfe runs Heavy-tailed DP-FW (Algorithm 1) on an in-memory
-// dataset; it is FrankWolfeSource over a MemSource, so chunks are
-// zero-copy views and results are bit-identical to a streamed run on
-// the same rows.
-func FrankWolfe(ds *data.Dataset, opt FWOptions) ([]float64, error) {
-	return FrankWolfeSource(data.NewMemSource(ds), opt)
 }
 
 // FrankWolfeSource runs Heavy-tailed DP-FW (Algorithm 1) over a data

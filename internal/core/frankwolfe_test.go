@@ -35,7 +35,7 @@ func TestFrankWolfeValidation(t *testing.T) {
 		"w0-out":    {Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: r, W0: []float64{2, 0, 0, 0, 0}},
 	}
 	for name, opt := range cases {
-		if _, err := FrankWolfe(ds, opt); err == nil {
+		if _, err := FrankWolfeSource(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -46,7 +46,7 @@ func TestFrankWolfeFeasibility(t *testing.T) {
 	ds := linearL1Workload(3, 2000, 20)
 	dom := polytope.NewL1Ball(20, 1)
 	var violated bool
-	_, err := FrankWolfe(ds, FWOptions{
+	_, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 1, Rng: randx.New(4),
 		Trace: func(t int, w []float64) {
 			if !dom.Contains(w, 1e-9) {
@@ -67,7 +67,7 @@ func TestFrankWolfeImprovesRisk(t *testing.T) {
 	// risk at a healthy budget.
 	ds := linearL1Workload(5, 20000, 30)
 	dom := polytope.NewL1Ball(30, 1)
-	w, err := FrankWolfe(ds, FWOptions{
+	w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 2, Rng: randx.New(6),
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestFrankWolfeApproachesNonprivateWithEps(t *testing.T) {
 		var tot float64
 		const reps = 5
 		for k := 0; k < reps; k++ {
-			w, err := FrankWolfe(ds, FWOptions{
+			w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 				Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: randx.New(seed + int64(k)),
 			})
 			if err != nil {
@@ -135,7 +135,7 @@ func TestFrankWolfeConstantEta(t *testing.T) {
 	// Theorem-3 schedule: constant η must also produce feasible iterates.
 	ds := linearL1Workload(10, 2000, 10)
 	dom := polytope.NewL1Ball(10, 1)
-	w, err := FrankWolfe(ds, FWOptions{
+	w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Biweight{C: 1}, Domain: dom, Eps: 1, Rng: randx.New(11),
 		EtaConst: 0.1, T: 20,
 	})
@@ -165,7 +165,7 @@ func TestFrankWolfeOnSimplex(t *testing.T) {
 	for i := range w0 {
 		w0[i] = 1 / float64(d)
 	}
-	w, err := FrankWolfe(ds, FWOptions{
+	w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 2, Rng: randx.New(13), W0: w0,
 	})
 	if err != nil {

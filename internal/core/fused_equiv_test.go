@@ -367,7 +367,7 @@ func TestFullDataFWFusedBitIdentical(t *testing.T) {
 	ds := equivData(t)
 	ball := polytope.NewL1Ball(45, 1)
 	run := func(l loss.Loss, seed int64) []float64 {
-		w, err := FullDataFW(ds, FullDataFWOptions{
+		w, err := FullDataFWSource(data.NewMemSource(ds), FullDataFWOptions{
 			Loss: l, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 			Parallelism: 2, Rng: randx.New(seed),
 		})

@@ -47,14 +47,11 @@ func (o *LassoOptions) fill(n, d int) error {
 	if o.Delta == 0 {
 		return errors.New("core: Algorithm 2 is (ε,δ)-DP and needs δ > 0")
 	}
-	if n < 1 {
-		return errors.New("core: empty dataset")
-	}
 	if o.Domain.Dims == 0 {
 		o.Domain = polytope.NewL1Ball(d, 1)
 	}
-	if o.Domain.Dim() != d {
-		return fmt.Errorf("core: domain dim %d != data dim %d", o.Domain.Dim(), d)
+	if err := checkData(n, d, o.Domain, o.W0); err != nil {
+		return err
 	}
 	ne := float64(n) * o.Eps
 	if o.T == 0 {
@@ -76,13 +73,6 @@ func (o *LassoOptions) fill(n, d int) error {
 		return errors.New("core: W0 outside the domain")
 	}
 	return nil
-}
-
-// Lasso runs Heavy-tailed Private LASSO (Algorithm 2) on an in-memory
-// dataset; it is LassoSource over a MemSource, so results are
-// bit-identical to a streamed run on the same rows.
-func Lasso(ds *data.Dataset, opt LassoOptions) ([]float64, error) {
-	return LassoSource(data.NewMemSource(ds), opt)
 }
 
 // LassoSource runs Heavy-tailed Private LASSO (Algorithm 2) over a

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"htdp/internal/data"
 	"htdp/internal/loss"
 	"htdp/internal/polytope"
 	"htdp/internal/randx"
@@ -22,7 +23,7 @@ func TestLassoValidation(t *testing.T) {
 		"bad-delta": {Eps: 1, Delta: 2, Rng: r},
 	}
 	for name, opt := range cases {
-		if _, err := Lasso(ds, opt); err == nil {
+		if _, err := LassoSource(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -52,7 +53,7 @@ func TestLassoFeasibilityAndProgress(t *testing.T) {
 	ds := linearL1Workload(5, 20000, 20)
 	dom := polytope.NewL1Ball(20, 1)
 	var violated bool
-	w, err := Lasso(ds, LassoOptions{
+	w, err := LassoSource(data.NewMemSource(ds), LassoOptions{
 		Eps: 2, Delta: 1e-5, Rng: randx.New(6), Domain: dom,
 		Trace: func(t int, w []float64) {
 			if !dom.Contains(w, 1e-9) {
@@ -76,7 +77,7 @@ func TestLassoShrinkageApplied(t *testing.T) {
 	// With a tiny manual K the gradient scores are computed on heavily
 	// truncated data; the algorithm must still run and stay feasible.
 	ds := linearL1Workload(7, 2000, 10)
-	w, err := Lasso(ds, LassoOptions{
+	w, err := LassoSource(data.NewMemSource(ds), LassoOptions{
 		Eps: 1, Delta: 1e-5, Rng: randx.New(8), K: 0.05, T: 10,
 	})
 	if err != nil {
@@ -96,7 +97,7 @@ func TestLassoEpsMonotone(t *testing.T) {
 		var tot float64
 		const reps = 5
 		for k := 0; k < reps; k++ {
-			w, err := Lasso(ds, LassoOptions{Eps: eps, Delta: 1e-5, Rng: randx.New(seed + int64(k))})
+			w, err := LassoSource(data.NewMemSource(ds), LassoOptions{Eps: eps, Delta: 1e-5, Rng: randx.New(seed + int64(k))})
 			if err != nil {
 				t.Fatal(err)
 			}

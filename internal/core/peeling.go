@@ -9,23 +9,18 @@ import (
 	"htdp/internal/vecmath"
 )
 
-// Peeling is Algorithm 4 (from Cai–Wang–Zhang): the (ε, δ)-DP noisy
+// PeelingP is Algorithm 4 (from Cai–Wang–Zhang): the (ε, δ)-DP noisy
 // top-s selection. It iteratively appends the index maximizing
 // |v_j| + Lap-noise to the selected set, then returns v restricted to
 // the set plus fresh Laplace noise on the selected entries.
 //
 // lambda must bound the ℓ∞-sensitivity of v as a function of the data;
 // by Lemma 10, the output is then (ε, δ)-DP. Each of the s selection
-// rounds and the final release use noise scale 2λ√(3s·log(1/δ))/ε.
+// rounds and the final release use noise scale PeelingScale(s, ε, δ, λ)
+// = 2λ√(3s·log(1/δ))/ε.
 //
 // The input v is not modified; the result is a fresh s-sparse vector.
-// Peeling runs the selection scan on GOMAXPROCS workers; PeelingP
-// selects the worker count explicitly.
-func Peeling(r *randx.RNG, v []float64, s int, eps, delta, lambda float64) []float64 {
-	return PeelingP(r, v, s, eps, delta, lambda, 0)
-}
-
-// PeelingP is Peeling with an explicit worker count (0 → GOMAXPROCS,
+// workers is the selection scan's worker count (0 → GOMAXPROCS,
 // 1 → sequential). Each selection round shards the coordinate range
 // across workers; every shard draws its Laplace noise from its own
 // child stream split off r in shard order, computes a local noisy
@@ -76,7 +71,7 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 	if lambda < 0 {
 		panic("core: Peeling negative noise scale")
 	}
-	scale := 2 * lambda * math.Sqrt(3*float64(s)*math.Log(1/delta)) / eps
+	scale := PeelingScale(s, eps, delta, lambda)
 	d := len(v)
 	if ps == nil {
 		ps = &peelScratch{}
@@ -149,14 +144,9 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 	return dst
 }
 
-// PeelingScale returns the Laplace scale used inside Peeling; exposed so
-// tests and utility analyses can reason about the added noise.
+// PeelingScale returns the Laplace scale PeelingP draws its noise at;
+// exposed so tests and utility analyses can reason about the added
+// noise.
 func PeelingScale(s int, eps, delta, lambda float64) float64 {
 	return 2 * lambda * math.Sqrt(3*float64(s)*math.Log(1/delta)) / eps
-}
-
-// TopSExact is Peeling's ε→∞ limit: exact hard thresholding, kept here
-// so ablations can isolate the privacy cost of the selection step.
-func TopSExact(v []float64, s int) []float64 {
-	return vecmath.HardThreshold(v, s)
 }

@@ -15,7 +15,7 @@ func TestPeelingSparsity(t *testing.T) {
 		v[i] = r.Normal()
 	}
 	for _, s := range []int{1, 3, 10, 50} {
-		out := Peeling(r, v, s, 1, 1e-5, 0.01)
+		out := PeelingP(r, v, s, 1, 1e-5, 0.01, 0)
 		if got := vecmath.Norm0(out); got > s {
 			t.Fatalf("s=%d: output has %d non-zeros", s, got)
 		}
@@ -29,7 +29,7 @@ func TestPeelingInputUnmodified(t *testing.T) {
 	r := randx.New(2)
 	v := []float64{3, -1, 2, 0.5}
 	orig := vecmath.Clone(v)
-	Peeling(r, v, 2, 1, 1e-5, 0.1)
+	PeelingP(r, v, 2, 1, 1e-5, 0.1, 0)
 	if vecmath.Dist2(v, orig) != 0 {
 		t.Fatal("Peeling modified its input")
 	}
@@ -39,10 +39,10 @@ func TestPeelingZeroLambdaIsExactTopS(t *testing.T) {
 	// λ = 0 ⇒ noise scale 0 ⇒ exact top-s selection with exact values.
 	r := randx.New(3)
 	v := []float64{5, -7, 1, 3, -2}
-	out := Peeling(r, v, 2, 1, 1e-5, 0)
-	want := TopSExact(v, 2)
+	out := PeelingP(r, v, 2, 1, 1e-5, 0, 0)
+	want := vecmath.HardThreshold(v, 2)
 	if vecmath.Dist2(out, want) != 0 {
-		t.Fatalf("Peeling(λ=0) = %v, want %v", out, want)
+		t.Fatalf("PeelingP(λ=0, 0) = %v, want %v", out, want)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestPeelingHighEpsApproachesTopS(t *testing.T) {
 	agree := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {
-		out := Peeling(r, v, 3, 1e6, 1e-5, 1)
-		want := TopSExact(v, 3)
+		out := PeelingP(r, v, 3, 1e6, 1e-5, 1, 0)
+		want := vecmath.HardThreshold(v, 3)
 		same := true
 		for j := range out {
 			if (out[j] == 0) != (want[j] == 0) {
@@ -86,7 +86,7 @@ func TestPeelingNoiseScale(t *testing.T) {
 	const n = 100000
 	var sum, sum2 float64
 	for i := 0; i < n; i++ {
-		out := Peeling(r, v, s, eps, delta, lambda)
+		out := PeelingP(r, v, s, eps, delta, lambda, 0)
 		d := out[0] - 100
 		sum += d
 		sum2 += d * d
@@ -109,7 +109,7 @@ func TestPeelingSelectsHeavyCoordinates(t *testing.T) {
 	hits := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		out := Peeling(r, v, 2, 2, 1e-5, 0.05)
+		out := PeelingP(r, v, 2, 2, 1e-5, 0.05, 0)
 		if out[7] != 0 && out[42] != 0 {
 			hits++
 		}
@@ -123,13 +123,13 @@ func TestPeelingPanics(t *testing.T) {
 	r := randx.New(7)
 	v := []float64{1, 2}
 	for name, f := range map[string]func(){
-		"s=0":     func() { Peeling(r, v, 0, 1, 1e-5, 1) },
-		"s>d":     func() { Peeling(r, v, 3, 1, 1e-5, 1) },
-		"eps<=0":  func() { Peeling(r, v, 1, 0, 1e-5, 1) },
-		"delta=0": func() { Peeling(r, v, 1, 1, 0, 1) },
-		"delta=1": func() { Peeling(r, v, 1, 1, 1, 1) },
+		"s=0":     func() { PeelingP(r, v, 0, 1, 1e-5, 1, 0) },
+		"s>d":     func() { PeelingP(r, v, 3, 1, 1e-5, 1, 0) },
+		"eps<=0":  func() { PeelingP(r, v, 1, 0, 1e-5, 1, 0) },
+		"delta=0": func() { PeelingP(r, v, 1, 1, 0, 1, 0) },
+		"delta=1": func() { PeelingP(r, v, 1, 1, 1, 1, 0) },
 		"lambda<0": func() {
-			Peeling(r, v, 1, 1, 1e-5, -1)
+			PeelingP(r, v, 1, 1, 1e-5, -1, 0)
 		},
 	} {
 		func() {

@@ -46,7 +46,7 @@ func TestFrankWolfePrivacyAudit(t *testing.T) {
 		if neighbour {
 			ds = d1
 		}
-		w, err := FrankWolfe(ds, FWOptions{
+		w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: dom, Eps: eps, T: 1, S: 3,
 			Rng: rng.Split(),
 		})
@@ -145,7 +145,7 @@ func smoothedPhiForTest(a, b float64) float64 {
 func TestAlgorithmsDeterministicGivenSeed(t *testing.T) {
 	ds := linearL1Workload(5, 1000, 10)
 	run := func(seed int64) []float64 {
-		w, err := FrankWolfe(ds, FWOptions{
+		w, err := FrankWolfeSource(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: polytope.NewL1Ball(10, 1), Eps: 1,
 			Rng: randx.New(seed),
 		})
@@ -163,7 +163,7 @@ func TestAlgorithmsDeterministicGivenSeed(t *testing.T) {
 
 	sp := sparseWorkload(6, 2000, 30, 3, nil)
 	run3 := func(seed int64) []float64 {
-		w, err := SparseLinReg(sp, SparseLinRegOptions{
+		w, err := SparseLinRegSource(data.NewMemSource(sp), SparseLinRegOptions{
 			Eps: 1, Delta: 1e-5, SStar: 3, Rng: randx.New(seed),
 		})
 		if err != nil {

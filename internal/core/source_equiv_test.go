@@ -110,12 +110,6 @@ func TestSourceEquivalence(t *testing.T) {
 				Parallelism: p, Rng: randx.New(10),
 			})
 		},
-		"NonprivateFW": func(src data.Source, p int) ([]float64, error) {
-			return NonprivateFWSource(src, loss.Squared{}, ball, 5, nil)
-		},
-		"NonprivateIHT": func(src data.Source, p int) ([]float64, error) {
-			return NonprivateIHTSource(src, 5, 5, 0.5)
-		},
 	}
 
 	backends := map[string]data.Source{"mem": mem, "csv": csv, "gen": gen}

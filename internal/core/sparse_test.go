@@ -36,7 +36,7 @@ func TestSparseLinRegValidation(t *testing.T) {
 			W0: append([]float64{2}, make([]float64, 19)...)},
 	}
 	for name, opt := range cases {
-		if _, err := SparseLinReg(ds, opt); err == nil {
+		if _, err := SparseLinRegSource(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -57,7 +57,7 @@ func TestSparseLinRegInvariants(t *testing.T) {
 			maxSupp = s
 		}
 	}
-	w, err := SparseLinReg(ds, opt)
+	w, err := SparseLinRegSource(data.NewMemSource(ds), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSparseLinRegRecovers(t *testing.T) {
 	var tot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		got, err := SparseLinReg(ds, SparseLinRegOptions{
+		got, err := SparseLinRegSource(data.NewMemSource(ds), SparseLinRegOptions{
 			Eps: 4, Delta: 1e-5, SStar: sStar, Eta0: 1, T: 4, K: 2.5,
 			Rng: randx.New(6 + k),
 		})
@@ -137,7 +137,7 @@ func TestSparseOptValidation(t *testing.T) {
 			W0: vecmath.Fill(make([]float64, 20), 0.1)},
 	}
 	for name, opt := range cases {
-		if _, err := SparseOpt(ds, opt); err == nil {
+		if _, err := SparseOptSource(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -154,7 +154,7 @@ func TestSparseOptSparsityInvariant(t *testing.T) {
 		WStar:   w,
 	})
 	var maxSupp int
-	_, err := SparseOpt(ds, SparseOptOptions{
+	_, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 		Loss: loss.RegLogistic{Lambda: 0.01}, Eps: 1, Delta: 1e-5, SStar: sStar,
 		Rng: randx.New(12),
 		Trace: func(t int, w []float64) {
@@ -191,7 +191,7 @@ func TestSparseOptMeanEstimation(t *testing.T) {
 	var tot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		got, err := SparseOpt(ds, SparseOptOptions{
+		got, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.MeanSquared{}, Eps: 2, Delta: 1e-5, SStar: sStar,
 			Eta: 0.45, Rng: randx.New(14 + k),
 		})
@@ -212,7 +212,7 @@ func TestSparseOptEpsMonotone(t *testing.T) {
 		var tot float64
 		const reps = 5
 		for k := 0; k < reps; k++ {
-			w, err := SparseOpt(ds, SparseOptOptions{
+			w, err := SparseOptSource(data.NewMemSource(ds), SparseOptOptions{
 				Loss: loss.Squared{}, Eps: eps, Delta: 1e-5, SStar: 4,
 				Eta: 0.05, Rng: randx.New(seed + int64(k)),
 			})

@@ -52,8 +52,8 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 	if o.Delta == 0 {
 		return errors.New("core: Algorithm 3 is (ε,δ)-DP and needs δ > 0")
 	}
-	if n < 1 {
-		return errors.New("core: empty dataset")
+	if err := checkData(n, d, nil, o.W0); err != nil {
+		return err
 	}
 	if o.SStar < 1 || o.SStar > d {
 		return fmt.Errorf("core: SStar=%d outside [1,%d]", o.SStar, d)
@@ -89,14 +89,6 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 		return errors.New("core: W0 must be S-sparse inside the unit ℓ2 ball")
 	}
 	return nil
-}
-
-// SparseLinReg runs Heavy-tailed Private Sparse Linear Regression
-// (Algorithm 3) on an in-memory dataset; it is SparseLinRegSource over
-// a MemSource, so results are bit-identical to a streamed run on the
-// same rows.
-func SparseLinReg(ds *data.Dataset, opt SparseLinRegOptions) ([]float64, error) {
-	return SparseLinRegSource(data.NewMemSource(ds), opt)
 }
 
 // SparseLinRegSource runs Heavy-tailed Private Sparse Linear Regression

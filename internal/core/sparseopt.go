@@ -64,8 +64,8 @@ func (o *SparseOptOptions) fill(n, d int) error {
 	if o.Delta == 0 {
 		return errors.New("core: Algorithm 5 is (ε,δ)-DP and needs δ > 0")
 	}
-	if n < 1 {
-		return errors.New("core: empty dataset")
+	if err := checkData(n, d, nil, o.W0); err != nil {
+		return err
 	}
 	if o.SStar < 1 || o.SStar > d {
 		return fmt.Errorf("core: SStar=%d outside [1,%d]", o.SStar, d)
@@ -114,13 +114,6 @@ func (o *SparseOptOptions) fill(n, d int) error {
 		return errors.New("core: W0 must be S-sparse")
 	}
 	return nil
-}
-
-// SparseOpt runs Heavy-tailed Private Sparse Optimization (Algorithm 5)
-// on an in-memory dataset; it is SparseOptSource over a MemSource, so
-// results are bit-identical to a streamed run on the same rows.
-func SparseOpt(ds *data.Dataset, opt SparseOptOptions) ([]float64, error) {
-	return SparseOptSource(data.NewMemSource(ds), opt)
 }
 
 // SparseOptSource runs Heavy-tailed Private Sparse Optimization

@@ -29,7 +29,7 @@ import (
 // margins, one scalar pass for the per-sample gradient scales, then
 // robust.EstimateChunk straight over the data rows. Other losses take
 // the generic row-at-a-time path with a hoisted callback. Both paths
-// are bit-identical to MeanEstimator.EstimateFunc over Loss.Grad rows.
+// are bit-identical to MeanEstimator.EstimateFuncWS over Loss.Grad rows.
 type gradState struct {
 	est robust.MeanEstimator
 	l   loss.Loss
@@ -103,9 +103,9 @@ func (vs *vertexSelector) pick(r *randx.RNG, sens, eps float64) int {
 }
 
 // gradSum is the reusable clipped-gradient reduction of the DP
-// baselines: Σᵢ transform(∇ℓ(w, sampleᵢ)) over a chunk (or an explicit
-// index set, for minibatch SGD), with parallel.ReduceVec semantics,
-// pooled shard partials and scratch rows, and a cached body closure.
+// baselines: Σᵢ transform(∇ℓ(w, sampleᵢ)) over a chunk (for minibatch
+// SGD, the gathered batch), with parallel.ReduceVec semantics, pooled
+// shard partials and scratch rows, and a cached body closure.
 type gradSum struct {
 	l         loss.Loss
 	transform func(buf []float64) // per-sample map (clipping); nil for none
@@ -116,7 +116,6 @@ type gradSum struct {
 
 	w    []float64
 	ck   *data.Dataset
-	idx  []int // when non-nil, sample b is row idx[b]
 	body func(shard, lo, hi int)
 }
 
@@ -124,13 +123,9 @@ func newGradSum(l loss.Loss, transform func(buf []float64)) *gradSum {
 	return &gradSum{l: l, transform: transform}
 }
 
-// run accumulates over m samples (chunk rows, or idx entries when idx
-// is non-nil) into dst, zeroing it first.
-func (g *gradSum) run(dst, w []float64, ck *data.Dataset, idx []int, workers int) {
+// run accumulates over the chunk's rows into dst, zeroing it first.
+func (g *gradSum) run(dst, w []float64, ck *data.Dataset, workers int) {
 	m := ck.N()
-	if idx != nil {
-		m = len(idx)
-	}
 	if m <= 0 {
 		vecmath.Zero(dst)
 		return
@@ -138,21 +133,17 @@ func (g *gradSum) run(dst, w []float64, ck *data.Dataset, idx []int, workers int
 	k := parallel.NumShards(m)
 	g.red.Setup(k, dst)
 	g.bufs = g.bufsPool.Get(k, len(dst))
-	g.w, g.ck, g.idx = w, ck, idx
+	g.w, g.ck = w, ck
 	if g.body == nil {
 		g.body = func(shard, lo, hi int) {
-			l, w, ck, idx := g.l, g.w, g.ck, g.idx
+			l, w, ck := g.l, g.w, g.ck
 			acc := g.red.Accs()[shard]
 			if shard > 0 {
 				vecmath.Zero(acc)
 			}
 			buf := g.bufs[shard]
 			vecmath.Zero(buf)
-			for b := lo; b < hi; b++ {
-				i := b
-				if idx != nil {
-					i = idx[b]
-				}
+			for i := lo; i < hi; i++ {
 				l.Grad(buf, w, ck.X.Row(i), ck.Y[i])
 				if g.transform != nil {
 					g.transform(buf)
@@ -163,7 +154,7 @@ func (g *gradSum) run(dst, w []float64, ck *data.Dataset, idx []int, workers int
 	}
 	parallel.For(workers, m, g.body)
 	g.red.Merge(dst)
-	g.w, g.ck, g.idx = nil, nil, nil
+	g.w, g.ck = nil, nil
 }
 
 // vertexL1Cache memoizes maxVertexL1 for generic (vertex-enumerated)

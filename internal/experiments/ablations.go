@@ -56,7 +56,7 @@ func splitVsFullAblation() Spec {
 				Title: fmt.Sprintf("split (ε-DP) vs full-data ((ε,δ)-DP), n=%d, d=%d", n, d)}
 			addSeries(&p, &err, cfg, "split(alg1)", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.FrankWolfe(ds, core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
+				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
 					return 0, err
 				}
@@ -64,7 +64,7 @@ func splitVsFullAblation() Spec {
 			})
 			addSeries(&p, &err, cfg, "full-data", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.FullDataFW(ds, core.FullDataFWOptions{
+				w, err := core.FullDataFWSource(data.NewMemSource(ds), core.FullDataFWOptions{
 					Loss: loss.Squared{}, Domain: dom, Eps: eps, Delta: deltaFor(n), Rng: r.Split(),
 				})
 				if err != nil {
@@ -110,7 +110,7 @@ func estimatorAblation() Spec {
 				Title: fmt.Sprintf("gradient privatization strategies, n=%d, d=%d", n, d)}
 			addSeries(&p, &err, cfg, "alg1-robust-fw", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.FrankWolfe(ds, core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
+				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
 					return 0, err
 				}
@@ -118,7 +118,7 @@ func estimatorAblation() Spec {
 			})
 			addSeries(&p, &err, cfg, "clip-fw[50]", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.TalwarDPFW(ds, core.TalwarFWOptions{
+				w, err := core.TalwarDPFWSource(data.NewMemSource(ds), core.TalwarFWOptions{
 					Loss: loss.Squared{}, Domain: dom, Eps: eps, Delta: deltaFor(n),
 					GradBound: 2, T: 30, Rng: r.Split(),
 				})
@@ -129,7 +129,7 @@ func estimatorAblation() Spec {
 			})
 			addSeries(&p, &err, cfg, "dp-gd[1]", epsGrid, 2, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.DPGD(ds, core.DPGDOptions{
+				w, err := core.DPGDSource(data.NewMemSource(ds), core.DPGDOptions{
 					Loss: loss.Squared{}, Eps: eps, Delta: deltaFor(n),
 					Project: dom.Project, Clip: 2, LR: 0.01, T: 30, Rng: r.Split(),
 				})
@@ -140,7 +140,7 @@ func estimatorAblation() Spec {
 			})
 			addSeries(&p, &err, cfg, "robust-gauss[57]", epsGrid, 3, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.RobustGaussianGD(ds, core.RobustGaussianGDOptions{
+				w, err := core.RobustGaussianGDSource(data.NewMemSource(ds), core.RobustGaussianGDOptions{
 					Loss: loss.Squared{}, Eps: eps, Delta: deltaFor(n),
 					Project: func(w []float64) []float64 { return vecmath.ProjectL1Ball(w, 1) },
 					LR:      0.01, T: 20, S: 10, Rng: r.Split(),
@@ -184,7 +184,7 @@ func alg1VsAlg2Ablation() Spec {
 				Title: fmt.Sprintf("theory-better vs practice-better, n=%d, d=%d", n, d)}
 			addSeries(&p, &err, cfg, "alg1", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.FrankWolfe(ds, core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
+				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
 					return 0, err
 				}
@@ -192,7 +192,7 @@ func alg1VsAlg2Ablation() Spec {
 			})
 			addSeries(&p, &err, cfg, "alg2", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.Lasso(ds, core.LassoOptions{Eps: eps, Delta: deltaFor(n), Rng: r.Split()})
+				w, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{Eps: eps, Delta: deltaFor(n), Rng: r.Split()})
 				if err != nil {
 					return 0, err
 				}
@@ -236,7 +236,7 @@ func shrinkKAblation() Spec {
 				Title: fmt.Sprintf("K sweep around theory default %.3g (ε=1, n=%d, d=%d)", kStar, n, d)}
 			addSeries(&p, &err, cfg, "alg2", xs, 0, func(_ *trialCtx, r *randx.RNG, k float64) (float64, error) {
 				ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise})
-				w, err := core.Lasso(ds, core.LassoOptions{
+				w, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{
 					Eps: 1, Delta: deltaFor(n), K: k, T: T, Rng: r.Split(),
 				})
 				if err != nil {
@@ -282,7 +282,7 @@ func selectionAblation() Spec {
 				Title: fmt.Sprintf("private vs exact IHT, n=%d, d=%d, s*=%d", n, d, sStar)}
 			addSeries(&p, &err, cfg, "alg3", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
-				w, err := core.SparseLinReg(ds, core.SparseLinRegOptions{
+				w, err := core.SparseLinRegSource(data.NewMemSource(ds), core.SparseLinRegOptions{
 					Eps: eps, Delta: deltaFor(n), SStar: sStar, S: sStar + 2,
 					Eta0: 0.05, T: 3, Rng: r.Split(),
 				})
@@ -341,7 +341,7 @@ func lowerBoundCheck() Spec {
 					}
 				}
 				ds := &data.Dataset{Label: "sparsemean", X: x, Y: make([]float64, n), WStar: mu}
-				w, err := core.SparseOpt(ds, core.SparseOptOptions{
+				w, err := core.SparseOptSource(data.NewMemSource(ds), core.SparseOptOptions{
 					Loss: loss.MeanSquared{}, Eps: 1, Delta: deltaFor(n), SStar: sStar,
 					Eta: 0.45, Rng: r.Split(),
 				})

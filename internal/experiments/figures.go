@@ -54,7 +54,7 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 	}
 	trial := func(r *randx.RNG, n, d int, eps float64) (float64, error) {
 		ds := genPolytopeData(r, n, d, feature, noise, logistic)
-		w, err := core.FrankWolfe(ds, core.FWOptions{
+		w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{
 			Loss: l, Domain: polytope.NewL1Ball(d, 1), Eps: eps, Rng: r.Split(),
 		})
 		if err != nil {
@@ -127,7 +127,7 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 	noise := randx.Normal{Mu: 0, Sigma: math.Sqrt(0.1)}
 	trial := func(r *randx.RNG, n, d int, eps float64) (float64, error) {
 		ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise})
-		w, err := core.Lasso(ds, core.LassoOptions{
+		w, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{
 			Eps: eps, Delta: deltaFor(n), Rng: r.Split(),
 		})
 		if err != nil {
@@ -210,7 +210,7 @@ func ihtFigure(id, desc string, noise randx.Dist, paperN int) Spec {
 	trial := func(r *randx.RNG, n, d, sStar int, eps float64) (float64, error) {
 		w := vecmath.Scale(data.SparseWStar(r, d, sStar), 0.5)
 		ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise, WStar: w})
-		got, err := core.SparseLinReg(ds, core.SparseLinRegOptions{
+		got, err := core.SparseLinRegSource(data.NewMemSource(ds), core.SparseLinRegOptions{
 			Eps: eps, Delta: deltaFor(n), SStar: sStar, S: sStar + 2,
 			Eta0: 0.05, T: 3, Rng: r.Split(),
 		})
@@ -281,7 +281,7 @@ func sparseOptFigure(id, desc string, feature, noise randx.Dist, paperN int) Spe
 	trial := func(r *randx.RNG, n, d, sStar int, eps float64) (float64, error) {
 		w := data.SparseWStar(r, d, sStar)
 		ds := data.LogisticModel(r, data.LogisticOpt{N: n, D: d, Feature: feature, Noise: noise, WStar: w})
-		got, err := core.SparseOpt(ds, core.SparseOptOptions{
+		got, err := core.SparseOptSource(data.NewMemSource(ds), core.SparseOptOptions{
 			Loss: l, Eps: eps, Delta: deltaFor(n), SStar: sStar, Rng: r.Split(),
 		})
 		if err != nil {
@@ -380,7 +380,7 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 					frac := frac
 					addSeries(&p, &serr, cfg, fmt.Sprintf("n=%.0f%%", frac*100), epsGrid, int64(pi*10+si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 						sub := ds.Subset(0, int(frac*float64(ds.N())))
-						w, err := core.FrankWolfe(sub, core.FWOptions{
+						w, err := core.FrankWolfeSource(data.NewMemSource(sub), core.FWOptions{
 							Loss: l, Domain: dom, Eps: eps, Rng: r,
 						})
 						if err != nil {

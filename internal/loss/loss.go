@@ -211,23 +211,17 @@ func (MeanSquared) Grad(dst, w, x []float64, _ float64) []float64 {
 }
 
 // Empirical returns the empirical risk (1/n)·Σᵢ ℓ(w, (xᵢ, yᵢ)) over the
-// rows of x, evaluating sample shards in parallel. The shard partials
-// merge in a fixed order, so the value is deterministic for any
-// GOMAXPROCS. EmpiricalP selects the worker count explicitly.
+// rows of x, evaluating sample shards on GOMAXPROCS workers. The shard
+// partials merge in a fixed order, so the value is deterministic for
+// any GOMAXPROCS.
 func Empirical(l Loss, w []float64, x *vecmath.Mat, y []float64) float64 {
-	return EmpiricalP(l, w, x, y, 0)
-}
-
-// EmpiricalP is Empirical with an explicit worker count
-// (0 → GOMAXPROCS, 1 → sequential).
-func EmpiricalP(l Loss, w []float64, x *vecmath.Mat, y []float64, workers int) float64 {
 	if x.Rows != len(y) {
 		panic(fmt.Sprintf("loss: Empirical rows %d != labels %d", x.Rows, len(y)))
 	}
 	if x.Rows == 0 {
 		return 0
 	}
-	s := parallel.ReduceFloat(workers, x.Rows, func(_, lo, hi int) float64 {
+	s := parallel.ReduceFloat(0, x.Rows, func(_, lo, hi int) float64 {
 		var p float64
 		for i := lo; i < hi; i++ {
 			p += l.Value(w, x.Row(i), y[i])
@@ -239,18 +233,11 @@ func EmpiricalP(l Loss, w []float64, x *vecmath.Mat, y []float64, workers int) f
 
 // FullGradient writes the empirical-risk gradient
 // (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) into dst (allocated when nil) and returns
-// it, fanning sample shards out across GOMAXPROCS workers.
-// FullGradientP selects the worker count explicitly.
+// it, fanning sample shards out across GOMAXPROCS workers. Each shard
+// accumulates per-sample gradients into its own partial with its own
+// scratch buffer; partials merge in shard order, so the gradient is
+// bit-identical for every worker count.
 func FullGradient(l Loss, dst, w []float64, x *vecmath.Mat, y []float64) []float64 {
-	return FullGradientP(l, dst, w, x, y, 0)
-}
-
-// FullGradientP is FullGradient with an explicit worker count
-// (0 → GOMAXPROCS, 1 → sequential). Each shard accumulates per-sample
-// gradients into its own partial with its own scratch buffer; partials
-// merge in shard order, so the gradient is bit-identical for every
-// worker count.
-func FullGradientP(l Loss, dst, w []float64, x *vecmath.Mat, y []float64, workers int) []float64 {
 	if x.Rows != len(y) {
 		panic(fmt.Sprintf("loss: FullGradient rows %d != labels %d", x.Rows, len(y)))
 	}
@@ -261,7 +248,7 @@ func FullGradientP(l Loss, dst, w []float64, x *vecmath.Mat, y []float64, worker
 		vecmath.Zero(dst)
 		return dst
 	}
-	parallel.ReduceVec(workers, x.Rows, dst, func(acc []float64, _, lo, hi int) {
+	parallel.ReduceVec(0, x.Rows, dst, func(acc []float64, _, lo, hi int) {
 		buf := make([]float64, len(acc))
 		for i := lo; i < hi; i++ {
 			l.Grad(buf, w, x.Row(i), y[i])

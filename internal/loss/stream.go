@@ -11,7 +11,7 @@ import (
 // The streaming evaluators walk a data.Source in StreamChunks(n) chunks
 // so risk and gradients can be computed over data that never fits in
 // memory at once. Within a chunk the samples are sharded exactly like
-// EmpiricalP/FullGradientP; chunks merge in chunk order. Both orders
+// Empirical/FullGradient; chunks merge in chunk order. Both orders
 // are functions of n alone, so the value is bit-identical for every
 // worker count and every backend serving the same rows — but it is a
 // different (fixed) summation order than the matrix-resident Empirical/
@@ -83,13 +83,6 @@ func ExcessRiskSource(l Loss, w, ref []float64, src data.Source, workers int) (f
 	return risks[0] - risks[1], nil
 }
 
-// FullGradientSource writes the empirical-risk gradient
-// (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
-// nil) and returns it, streaming one chunk at a time.
-func FullGradientSource(l Loss, dst, w []float64, src data.Source, workers int) ([]float64, error) {
-	return FullGradientSourceWS(l, dst, w, src, workers, nil)
-}
-
 // GradWorkspace is the reusable scratch of FullGradientSourceWS: the
 // margin/scale buffers of the fused path, the per-chunk partial, the
 // per-shard reduction buffers of the generic path, and the cached loop
@@ -119,8 +112,10 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// FullGradientSourceWS is FullGradientSource with a reusable workspace
-// (nil behaves like FullGradientSource). Margin-factorized losses
+// FullGradientSourceWS writes the empirical-risk gradient
+// (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
+// nil) and returns it, streaming one chunk at a time. ws is a reusable
+// workspace; nil allocates a fresh one. Margin-factorized losses
 // without a regularization term take the fused path — one blocked X·w
 // product for the margins, one scalar pass for the gradient scales, one
 // blocked Xᵀc product for the chunk gradient — instead of materializing
@@ -163,7 +158,7 @@ func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("loss: FullGradientSource: %w", err)
+		return nil, fmt.Errorf("loss: FullGradientSourceWS: %w", err)
 	}
 	vecmath.Scale(dst, 1/float64(n))
 	return dst, nil

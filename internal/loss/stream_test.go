@@ -53,7 +53,7 @@ func TestFullGradientSourceMatchesDense(t *testing.T) {
 	w := make([]float64, 7)
 	w[2] = 0.5
 	dense := FullGradient(Squared{}, nil, w, full.X, full.Y)
-	ref, err := FullGradientSource(Squared{}, nil, w, data.NewMemSource(full), 1)
+	ref, err := FullGradientSourceWS(Squared{}, nil, w, data.NewMemSource(full), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFullGradientSourceMatchesDense(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 0} {
-		got, err := FullGradientSource(Squared{}, nil, w, gen, workers)
+		got, err := FullGradientSourceWS(Squared{}, nil, w, gen, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,8 @@
 //     shard's result lands.
 //
 // Randomized shards derive their stream by splitting a parent RNG in
-// shard order (SplitRNGs), so noise draws are also worker-independent.
+// shard order (SplitRNGsInto), so noise draws are also
+// worker-independent.
 package parallel
 
 import (
@@ -267,20 +268,18 @@ func (r *VecReducer) Merge(dst []float64) {
 	}
 }
 
-// SplitRNGs derives one independent child stream per shard of [0, n) by
-// splitting r sequentially in shard order. The draw sequence each shard
-// sees is therefore a function of (parent state, n) only — never of the
-// worker count or scheduling — which is what keeps randomized sharded
-// scans (Peeling's noisy argmax) deterministic under parallelism.
-func SplitRNGs(r *randx.RNG, n int) []*randx.RNG {
-	return SplitRNGsInto(nil, r, n)
-}
-
-// SplitRNGsInto is SplitRNGs with a reusable destination: the children
-// in dst are re-seeded in place (allocating only when dst is too short
-// or holds nils), so a workspace that keeps the returned slice pays no
-// allocations after warm-up. The child streams are bit-identical to
-// SplitRNGs from the same parent state.
+// SplitRNGsInto derives one independent child stream per shard of
+// [0, n) by splitting r sequentially in shard order. The draw sequence
+// each shard sees is therefore a function of (parent state, n) only —
+// never of the worker count or scheduling — which is what keeps
+// randomized sharded scans (Peeling's noisy argmax) deterministic under
+// parallelism.
+//
+// The children in dst are re-seeded in place (allocating only when dst
+// is too short or holds nils; nil dst allocates them all), so a
+// workspace that keeps the returned slice pays no allocations after
+// warm-up. Recycled children replay exactly the streams fresh ones
+// would.
 func SplitRNGsInto(dst []*randx.RNG, r *randx.RNG, n int) []*randx.RNG {
 	k := NumShards(n)
 	if cap(dst) < k {

@@ -150,7 +150,7 @@ func TestReduceFloat(t *testing.T) {
 
 func TestSplitRNGsDeterministic(t *testing.T) {
 	draws := func() [][]float64 {
-		rngs := SplitRNGs(randx.New(42), 200)
+		rngs := SplitRNGsInto(nil, randx.New(42), 200)
 		out := make([][]float64, len(rngs))
 		for s, rng := range rngs {
 			for k := 0; k < 5; k++ {
@@ -160,9 +160,9 @@ func TestSplitRNGsDeterministic(t *testing.T) {
 		return out
 	}
 	if !reflect.DeepEqual(draws(), draws()) {
-		t.Fatal("SplitRNGs streams not reproducible")
+		t.Fatal("SplitRNGsInto streams not reproducible")
 	}
-	rngs := SplitRNGs(randx.New(42), 200)
+	rngs := SplitRNGsInto(nil, randx.New(42), 200)
 	if len(rngs) != NumShards(200) {
 		t.Fatalf("got %d streams, want %d", len(rngs), NumShards(200))
 	}

@@ -7,13 +7,14 @@ import (
 )
 
 // TestSplitRNGsIntoMatchesSplitRNGs: recycled children must replay the
-// exact streams fresh splits produce, round after round.
+// exact streams fresh splits (a nil destination) produce, round after
+// round.
 func TestSplitRNGsIntoMatchesSplitRNGs(t *testing.T) {
 	pa, pb := randx.New(3), randx.New(3)
 	var pool []*randx.RNG
 	for round := 0; round < 5; round++ {
 		n := 100 + 300*round // shard count changes between rounds
-		want := SplitRNGs(pa, n)
+		want := SplitRNGsInto(nil, pa, n)
 		pool = SplitRNGsInto(pool, pb, n)
 		if len(pool) != len(want) {
 			t.Fatalf("round %d: %d children, want %d", round, len(pool), len(want))

@@ -10,18 +10,17 @@ import (
 // This file is the fused robust-gradient kernel: the allocation-free,
 // cache-blocked evaluation of the coordinate-wise estimator over a data
 // chunk whose per-sample gradients factorize as c·xᵢ + reg·w (see
-// loss.MarginLoss). The row-at-a-time path (EstimateFunc) re-derives
-// the margin ⟨w, xᵢ⟩ from scratch inside every per-sample gradient,
-// materializes each gradient row into a scratch buffer, and allocates
-// that buffer — plus the per-shard reduction partials — on every call.
-// The fused path computes all margins once (one blocked X·w product),
-// reduces each gradient row to one scalar, and feeds x's rows straight
-// through the truncation kernel, column-blocked so the accumulator
-// block stays in cache while the rows stream.
+// loss.MarginLoss). The row-at-a-time path (EstimateFuncWS) re-derives
+// the margin ⟨w, xᵢ⟩ from scratch inside every per-sample gradient and
+// materializes each gradient row into a scratch buffer. The fused path
+// computes all margins once (one blocked X·w product), reduces each
+// gradient row to one scalar, and feeds x's rows straight through the
+// truncation kernel, column-blocked so the accumulator block stays in
+// cache while the rows stream.
 //
 // Everything here preserves the determinism contract bit for bit: the
 // sample-shard structure, the shard-order merge, and the per-coordinate
-// accumulation order over samples are exactly those of EstimateFunc
+// accumulation order over samples are exactly those of EstimateFuncWS
 // (column-blocking only reorders *across* independent coordinates,
 // never within one coordinate's chain), and termKernel reproduces
 // Term's arithmetic with its constants hoisted. The old-vs-new suites
@@ -130,11 +129,11 @@ func (ws *Workspace) shardBufs(k, d int) {
 	ws.bufs = ws.bufsPool.Get(k, d)
 }
 
-// EstimateChunk is the fused EstimateFunc for margin-factorized
+// EstimateChunk is the fused EstimateFuncWS for margin-factorized
 // gradients: given per-sample scales c (so sample i's gradient is
 // c[i]·xᵢ + reg·w, see loss.MarginLoss and loss.ScalesFromMargins), it
 // returns the coordinate-wise robust estimate over the chunk's rows,
-// bit-identical to EstimateFunc over the materialized gradient rows at
+// bit-identical to EstimateFuncWS over the materialized gradient rows at
 // every worker count, with zero allocations per call once ws is warm.
 // dst (len x.Cols) is allocated when nil; w may be nil when reg is 0.
 func (e MeanEstimator) EstimateChunk(dst []float64, x *vecmath.Mat, scales []float64, reg float64, w []float64, ws *Workspace) []float64 {
@@ -213,13 +212,22 @@ func (ws *Workspace) accumulateChunk(e MeanEstimator, dst []float64, x *vecmath.
 	ws.x, ws.sc, ws.w = nil, nil, nil
 }
 
-// EstimateFuncWS is EstimateFunc with a reusable workspace: per-shard
-// partials and gradient scratch rows come from ws and the loop closure
-// is cached, so steady-state calls allocate nothing. Bit-identical to
-// EstimateFunc at every worker count.
+// EstimateFuncWS is EstimateVec without materializing sample rows:
+// grad is called once per sample index with a zeroed scratch buffer to
+// fill. Used on hot paths where per-sample gradients are cheap to
+// recompute.
+//
+// The sample range is sharded across Parallelism workers, each with its
+// own scratch buffer, so grad may run concurrently for different i and
+// must not write shared state beyond buf. Per-shard partial sums merge
+// in shard order; the shard structure depends only on n, so the output
+// is bit-identical for every worker count. Per-shard partials and
+// scratch rows come from ws and the loop closure is cached, so
+// steady-state calls allocate nothing; a nil ws allocates a fresh
+// workspace.
 func (e MeanEstimator) EstimateFuncWS(dst []float64, n int, ws *Workspace, grad func(i int, buf []float64)) []float64 {
 	if n <= 0 {
-		panic("robust: EstimateFunc needs n > 0")
+		panic("robust: EstimateFuncWS needs n > 0")
 	}
 	if ws == nil {
 		ws = NewWorkspace()
@@ -247,7 +255,7 @@ func (ws *Workspace) accumulateFunc(e MeanEstimator, dst []float64, n int, grad 
 				vecmath.Zero(acc)
 			}
 			buf := ws.bufs[shard]
-			vecmath.Zero(buf) // EstimateFunc hands grad a fresh zeroed buffer
+			vecmath.Zero(buf) // grad receives a zeroed buffer
 			for i := lo; i < hi; i++ {
 				grad(i, buf)
 				for j, x := range buf {

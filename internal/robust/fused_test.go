@@ -35,10 +35,10 @@ func TestTermKernelMatchesTerm(t *testing.T) {
 }
 
 // refEstimateRows is the textbook unfused estimate over materialized
-// gradient rows c[i]·xᵢ + reg·w: EstimateFunc with fresh buffers.
+// gradient rows c[i]·xᵢ + reg·w: EstimateFuncWS with a fresh workspace.
 func refEstimateRows(e MeanEstimator, x *vecmath.Mat, scales []float64, reg float64, w []float64) []float64 {
 	dst := make([]float64, x.Cols)
-	e.EstimateFunc(dst, x.Rows, func(i int, buf []float64) {
+	e.EstimateFuncWS(dst, x.Rows, nil, func(i int, buf []float64) {
 		c := scales[i]
 		for j, xj := range x.Row(i) {
 			buf[j] = c * xj

@@ -9,7 +9,7 @@ import (
 
 // The estimator's sharded hot paths must be bit-identical at every
 // worker count: EstimateVec shards coordinates into disjoint writes,
-// EstimateFunc merges sample-shard partials in shard order.
+// EstimateFuncWS merges sample-shard partials in shard order.
 func TestEstimatorParallelismBitIdentical(t *testing.T) {
 	const n, d = 700, 90
 	r := randx.New(21)
@@ -21,17 +21,17 @@ func TestEstimatorParallelismBitIdentical(t *testing.T) {
 
 	base := MeanEstimator{S: 10, Beta: 1, Parallelism: 1}
 	wantVec := base.EstimateVec(nil, rows)
-	wantFun := base.EstimateFunc(make([]float64, d), n, func(i int, buf []float64) { copy(buf, rows[i]) })
+	wantFun := base.EstimateFuncWS(make([]float64, d), n, nil, func(i int, buf []float64) { copy(buf, rows[i]) })
 	for _, p := range levels {
 		e := MeanEstimator{S: 10, Beta: 1, Parallelism: p}
 		gotVec := e.EstimateVec(nil, rows)
-		gotFun := e.EstimateFunc(make([]float64, d), n, func(i int, buf []float64) { copy(buf, rows[i]) })
+		gotFun := e.EstimateFuncWS(make([]float64, d), n, nil, func(i int, buf []float64) { copy(buf, rows[i]) })
 		for j := 0; j < d; j++ {
 			if gotVec[j] != wantVec[j] {
 				t.Fatalf("EstimateVec Parallelism=%d coord %d: %v != %v", p, j, gotVec[j], wantVec[j])
 			}
 			if gotFun[j] != wantFun[j] {
-				t.Fatalf("EstimateFunc Parallelism=%d coord %d: %v != %v", p, j, gotFun[j], wantFun[j])
+				t.Fatalf("EstimateFuncWS Parallelism=%d coord %d: %v != %v", p, j, gotFun[j], wantFun[j])
 			}
 		}
 	}

@@ -143,11 +143,11 @@ type MeanEstimator struct {
 	Beta float64 // noise precision β > 0 (paper sets β = O(1))
 
 	// Parallelism is the worker count for the vector estimators
-	// (EstimateVec, EstimateFunc): 0 → GOMAXPROCS, 1 → sequential. The
-	// sharded evaluation is bit-identical for every setting — EstimateVec
-	// shards the coordinate space into disjoint writes, and EstimateFunc
-	// merges fixed sample-shard partials in shard order — so this knob
-	// trades wall-clock only, never results.
+	// (EstimateVec, EstimateFuncWS, EstimateChunk): 0 → GOMAXPROCS,
+	// 1 → sequential. The sharded evaluation is bit-identical for every
+	// setting — EstimateVec shards the coordinate space into disjoint
+	// writes, and the other two merge fixed sample-shard partials in
+	// shard order — so this knob trades wall-clock only, never results.
 	Parallelism int
 }
 
@@ -238,19 +238,6 @@ func (e MeanEstimator) EstimateVec(dst []float64, rows [][]float64) []float64 {
 		}
 	})
 	return dst
-}
-
-// EstimateFunc is EstimateVec without materializing sample rows: grad is
-// called once per sample index with a scratch buffer to fill. Used on
-// hot paths where per-sample gradients are cheap to recompute.
-//
-// The sample range is sharded across Parallelism workers, each with its
-// own scratch buffer, so grad may run concurrently for different i and
-// must not write shared state beyond buf. Per-shard partial sums merge
-// in shard order; the shard structure depends only on n, so the output
-// is bit-identical for every worker count.
-func (e MeanEstimator) EstimateFunc(dst []float64, n int, grad func(i int, buf []float64)) []float64 {
-	return e.EstimateFuncWS(dst, n, nil, grad)
 }
 
 // Shrink returns sign(x)·min(|x|, k): the entry-wise shrinkage that

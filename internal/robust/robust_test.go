@@ -303,12 +303,12 @@ func TestEstimateFuncMatchesVec(t *testing.T) {
 	e := MeanEstimator{S: 5, Beta: 2}
 	rows := [][]float64{{1, -7, 2}, {0.5, 3, -1}, {9, 9, 9}}
 	want := e.EstimateVec(nil, rows)
-	got := e.EstimateFunc(make([]float64, 3), len(rows), func(i int, buf []float64) {
+	got := e.EstimateFuncWS(make([]float64, 3), len(rows), nil, func(i int, buf []float64) {
 		copy(buf, rows[i])
 	})
 	for j := range want {
 		if math.Abs(got[j]-want[j]) > 1e-12 {
-			t.Fatalf("EstimateFunc[%d] = %v, want %v", j, got[j], want[j])
+			t.Fatalf("EstimateFuncWS[%d] = %v, want %v", j, got[j], want[j])
 		}
 	}
 }

@@ -5,15 +5,15 @@ import "htdp/internal/vecmath"
 // StreamMean accumulates the coordinate-wise robust mean estimator
 // ˆx(s, β) over sample blocks delivered sequentially, so the estimate
 // can be computed over data that never fits in memory at once — the
-// out-of-core counterpart of MeanEstimator.EstimateFunc used by the
+// out-of-core counterpart of MeanEstimator.EstimateFuncWS used by the
 // full-data streaming passes (see DESIGN.md, "Source backends").
 //
-// Within a block the samples are sharded exactly like EstimateFunc and
+// Within a block the samples are sharded exactly like EstimateFuncWS and
 // partials merge in shard order; blocks merge in arrival order. Both
 // orders are fixed by the block sizes alone, so the result is
 // bit-identical for every worker count and every source backend that
 // delivers the same blocks — but it is a different (fixed) summation
-// order than one EstimateFunc call over the concatenated samples.
+// order than one EstimateFuncWS call over the concatenated samples.
 //
 // The accumulator owns a reusable Workspace, so Add and AddChunk
 // allocate nothing once warm: full-data passes that stream every

@@ -8,7 +8,7 @@ import (
 )
 
 // TestStreamMeanMatchesEstimateFunc: delivering the samples as one
-// block must reproduce EstimateFunc bit for bit (identical sharding),
+// block must reproduce EstimateFuncWS bit for bit (identical sharding),
 // and any blocking must agree up to roundoff and be worker-invariant.
 func TestStreamMeanMatchesEstimateFunc(t *testing.T) {
 	const n, d = 500, 11
@@ -18,7 +18,7 @@ func TestStreamMeanMatchesEstimateFunc(t *testing.T) {
 		rows[i] = r.NormalVec(make([]float64, d), 3)
 	}
 	est := MeanEstimator{S: 2, Beta: 1}
-	want := est.EstimateFunc(make([]float64, d), n, func(i int, buf []float64) {
+	want := est.EstimateFuncWS(make([]float64, d), n, nil, func(i int, buf []float64) {
 		copy(buf, rows[i])
 	})
 
