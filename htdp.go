@@ -197,7 +197,7 @@ func GradFromMargin(l MarginLoss, dst, w, x []float64, y, z float64) []float64 {
 }
 
 // MarginsChunk computes all margins zᵢ = ⟨w, xᵢ⟩ of a chunk via the
-// blocked kernel (workers as everywhere: 0 → GOMAXPROCS).
+// sharded kernel (workers as everywhere: 0 → GOMAXPROCS).
 func MarginsChunk(dst, w []float64, x *Mat, workers int) []float64 {
 	return loss.MarginsChunk(dst, w, x, workers)
 }

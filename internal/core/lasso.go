@@ -29,7 +29,7 @@ type LassoOptions struct {
 	K float64
 	// W0 is the initial iterate (nil → zero vector).
 	W0 []float64
-	// Parallelism is the worker count for the blocked gradient kernels
+	// Parallelism is the worker count for the sharded gradient kernels
 	// (0 → GOMAXPROCS, 1 → sequential); bit-identical at every setting.
 	Parallelism int
 
@@ -119,10 +119,10 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	for t := 1; t <= opt.T; t++ {
 		// Step 4: g̃(w, D̃) = (2/n)·Σ x̃ᵢ(⟨x̃ᵢ, w⟩ − ỹᵢ), the exact
 		// empirical gradient of the squared loss on the shrunken data,
-		// accumulated chunk by chunk as the blocked pair r = X̃w − ỹ,
-		// g̃ += X̃ᵀr. Chunk order and the per-chunk shard structure are
-		// functions of n alone, so the gradient is bit-identical for
-		// every worker count and every backend.
+		// accumulated chunk by chunk as the register-blocked pair
+		// r = X̃w − ỹ, g̃ += X̃ᵀr. Chunk order and the per-chunk shard
+		// structure are functions of n alone, so the gradient is
+		// bit-identical for every worker count and every backend.
 		vecmath.Zero(grad)
 		if err := data.EachChunk(sh, C, chunkBody); err != nil {
 			return nil, fmt.Errorf("core: Lasso: %w", err)

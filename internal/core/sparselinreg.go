@@ -33,7 +33,7 @@ type SparseLinRegOptions struct {
 	// W0 is the initial iterate; it must be S-sparse with ‖W0‖₂ ≤ 1
 	// (nil → zero vector).
 	W0 []float64
-	// Parallelism is the worker count for the blocked gradient kernels
+	// Parallelism is the worker count for the sharded gradient kernels
 	// and the Peeling scan (0 → GOMAXPROCS, 1 → sequential);
 	// bit-identical at every setting.
 	Parallelism int
@@ -111,7 +111,7 @@ func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, er
 	w := vecmath.Clone(opt.W0)
 	grad := make([]float64, d)
 	resid := make([]float64, data.MaxChunkRows(src.N(), opt.T))
-	// Per-run workspaces: blocked-kernel buffers, Peeling scratch, and
+	// Per-run workspaces: mat-vec kernel buffers, Peeling scratch, and
 	// the ping-pong buffer the peeled iterate lands in — the loop
 	// allocates nothing after the first iteration.
 	var mw vecmath.MatWorkspace
@@ -124,7 +124,7 @@ func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, er
 		}
 		m := part.N()
 		// Step 5: w_{t+0.5} = w_t − (η₀/m)·Σ x̃(⟨x̃, w_t⟩ − ỹ),
-		// via the blocked pair r = X̃w − ỹ, grad = X̃ᵀr.
+		// via the register-blocked pair r = X̃w − ỹ, grad = X̃ᵀr.
 		r := resid[:m]
 		mw.MatVec(r, part.X, w, opt.Parallelism)
 		for i := 0; i < m; i++ {

@@ -25,9 +25,9 @@ import (
 
 // gradState computes the robust coordinate-wise gradient of one chunk
 // per call. Losses that factorize through the margin (loss.MarginLoss)
-// take the fused kernel: one blocked X·w product for the chunk's
-// margins, one scalar pass for the per-sample gradient scales, then
-// robust.EstimateChunk straight over the data rows. Other losses take
+// take the fused kernel: one register-blocked X·w product for the
+// chunk's margins, one scalar pass for the per-sample gradient scales,
+// then robust.EstimateChunk straight over the data rows. Other losses take
 // the generic row-at-a-time path with a hoisted callback. Both paths
 // are bit-identical to MeanEstimator.EstimateFuncWS over Loss.Grad rows.
 type gradState struct {

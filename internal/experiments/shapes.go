@@ -24,9 +24,12 @@ type ShapeCheck struct {
 //   - private error sits at or above the non-private reference;
 //   - measured error sits above a lower-bound floor series.
 //
-// slack absorbs trial noise: a trend may regress by up to slack×first
-// value before the check fails. The paper's own real-data figures are
-// "unstable" (§6.3), so shape checks are advisory for fig3/fig4.
+// The trends compare magnitudes, |first| against |last|, so a series at
+// or below zero (an in-sample excess risk that is negative and shrinks
+// toward 0) trends the way its error does. slack absorbs trial noise: a
+// trend may regress by up to slack×|first| before the check fails. The
+// paper's own real-data figures are "unstable" (§6.3), so shape checks
+// are advisory for fig3/fig4.
 func CheckShapes(panels []Panel, slack float64) []ShapeCheck {
 	if slack <= 0 {
 		slack = 0.35
@@ -62,7 +65,7 @@ func CheckShapes(panels []Panel, slack float64) []ShapeCheck {
 					continue
 				}
 				first, last := s.Mean[0], s.Mean[len(s.Mean)-1]
-				ok := last <= first*(1+slack)+1e-12
+				ok := absf(last) <= absf(first)*(1+slack)+1e-12
 				out = append(out, ShapeCheck{
 					Panel: id,
 					Name:  fmt.Sprintf("decreasing-in-%s/%s", p.XLabel, s.Name),
@@ -77,7 +80,7 @@ func CheckShapes(panels []Panel, slack float64) []ShapeCheck {
 					continue
 				}
 				first, last := s.Mean[0], s.Mean[len(s.Mean)-1]
-				ok := last >= first*(1-slack)
+				ok := absf(last) >= absf(first)*(1-slack)
 				out = append(out, ShapeCheck{
 					Panel:  id,
 					Name:   "increasing-in-s*/" + s.Name,

@@ -59,6 +59,27 @@ func TestCheckShapesSStar(t *testing.T) {
 	}
 }
 
+// TestCheckShapesNegativeSeries: a series below zero trends by
+// magnitude. fig1(c)'s non-private in-sample excess risk is negative and
+// shrinks toward 0 as n grows, which is the claimed decrease; a negative
+// series growing in magnitude is not.
+func TestCheckShapesNegativeSeries(t *testing.T) {
+	shrinking := mkPanel("f", "a", "n",
+		Series{Name: "non-private", X: []float64{200, 1800}, Mean: []float64{-0.04106, -0.009167}, Std: []float64{0, 0}})
+	growing := mkPanel("f", "b", "n",
+		Series{Name: "non-private", X: []float64{200, 1800}, Mean: []float64{-0.01, -0.05}, Std: []float64{0, 0}})
+	checks := CheckShapes([]Panel{shrinking, growing}, 0.35)
+	if len(checks) != 2 {
+		t.Fatalf("%d checks: %+v", len(checks), checks)
+	}
+	if !checks[0].OK {
+		t.Errorf("shrinking negative series flagged: %+v", checks[0])
+	}
+	if checks[1].OK {
+		t.Errorf("growing negative series passed: %+v", checks[1])
+	}
+}
+
 func TestDimensionCheck(t *testing.T) {
 	flat := mkPanel("f", "a", "eps",
 		Series{Name: "d=100", X: []float64{1}, Mean: []float64{0.5}, Std: []float64{0}},

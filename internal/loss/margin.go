@@ -9,7 +9,7 @@ import "htdp/internal/vecmath"
 //	∇_w ℓ(w, (x, y)) = GradScale(z, y)·x + RegCoeff·w.
 //
 // This two-phase decomposition is what the fused robust-gradient kernel
-// exploits: a chunk's margins are computed once as the blocked
+// exploits: a chunk's margins are computed once as the register-blocked
 // matrix-vector product X·w (O(m·d) multiply-adds total), after which
 // each per-sample gradient costs one scalar GradScale call instead of a
 // fresh O(d) dot product per coordinate visit — and the gradient rows
@@ -44,7 +44,7 @@ func AsMargin(l Loss) (MarginLoss, bool) {
 }
 
 // MarginsChunk computes all margins zᵢ = ⟨w, xᵢ⟩ of a chunk into dst
-// (len x.Rows; allocated when nil) via the blocked MatVecP kernel —
+// (len x.Rows; allocated when nil) via the sharded MatVecP kernel —
 // phase one of the fused gradient. Each margin is bit-identical to the
 // vecmath.Dot(w, xᵢ) the unfused Grad methods evaluate.
 func MarginsChunk(dst, w []float64, x *vecmath.Mat, workers int) []float64 {

@@ -90,7 +90,7 @@ func ExcessRiskSource(l Loss, w, ref []float64, src data.Source, workers int) (f
 // loop's iterations eliminates the per-iteration allocations of the
 // full-gradient baselines.
 type GradWorkspace struct {
-	// Mat serves the fused path's blocked X·w and Xᵀc products.
+	// Mat serves the fused path's register-blocked X·w and Xᵀc products.
 	Mat vecmath.MatWorkspace
 
 	margins, scales, part []float64
@@ -116,12 +116,12 @@ func growFloats(s []float64, n int) []float64 {
 // (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
 // nil) and returns it, streaming one chunk at a time. ws is a reusable
 // workspace; nil allocates a fresh one. Margin-factorized losses
-// without a regularization term take the fused path — one blocked X·w
-// product for the margins, one scalar pass for the gradient scales, one
-// blocked Xᵀc product for the chunk gradient — instead of materializing
-// n gradient rows; the result is bit-identical (the per-shard,
-// per-coordinate accumulation chains are unchanged, see
-// loss.MarginLoss).
+// without a regularization term take the fused path — one
+// register-blocked X·w product for the margins, one scalar pass for the
+// gradient scales, one register-blocked Xᵀc product for the chunk
+// gradient — instead of materializing n gradient rows; the result is
+// bit-identical (the per-shard, per-coordinate accumulation chains are
+// unchanged, see loss.MarginLoss).
 func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int, ws *GradWorkspace) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, src.D())

@@ -13,10 +13,10 @@ import (
 // loss.MarginLoss). The row-at-a-time path (EstimateFuncWS) re-derives
 // the margin ⟨w, xᵢ⟩ from scratch inside every per-sample gradient and
 // materializes each gradient row into a scratch buffer. The fused path
-// computes all margins once (one blocked X·w product), reduces each
-// gradient row to one scalar, and feeds x's rows straight through the
-// truncation kernel, column-blocked so the accumulator block stays in
-// cache while the rows stream.
+// computes all margins once (one register-blocked X·w product), reduces
+// each gradient row to one scalar, and feeds x's rows straight through
+// the truncation kernel, column-blocked so the accumulator block stays
+// in cache while the rows stream.
 //
 // Everything here preserves the determinism contract bit for bit: the
 // sample-shard structure, the shard-order merge, and the per-coordinate
@@ -74,13 +74,13 @@ func (k termKernel) term(x float64) float64 {
 // Ownership rules: one workspace belongs to one algorithm run on one
 // goroutine — workspaces are not safe for concurrent use, and buffers
 // handed out (Margins, Scales) are valid until the next call that asks
-// for them. The embedded Mat workspace serves the run's blocked dense
-// kernels (margins via MatVec, the squared-loss X̃ᵀr products) under
+// for them. The embedded Mat workspace serves the run's register-blocked
+// dense kernels (margins via MatVec, the squared-loss X̃ᵀr products) under
 // the same rules. The zero value is ready to use; NewWorkspace exists
 // for symmetry and future pre-sizing.
 type Workspace struct {
-	// Mat serves the run's blocked dense kernels (X·w margins, Xᵀr
-	// reductions) with the same reuse guarantees.
+	// Mat serves the run's register-blocked dense kernels (X·w margins,
+	// Xᵀr reductions) with the same reuse guarantees.
 	Mat vecmath.MatWorkspace
 
 	margins, scales []float64

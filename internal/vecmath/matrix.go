@@ -114,7 +114,7 @@ func (m *Mat) Mul(b *Mat) *Mat {
 // Gram returns the d×d second-moment matrix (1/n)·XᵀX of a data matrix
 // whose rows are samples. This estimates E[xxᵀ], whose extremal
 // eigenvalues γ=λmax and µ=λmin parameterize Theorems 5, 7, and 8.
-// It runs the blocked kernel on all cores; GramP selects the worker
+// It runs the sharded kernel on all cores; GramP selects the worker
 // count explicitly.
 func (m *Mat) Gram() *Mat {
 	return m.GramP(0)

@@ -2,7 +2,7 @@ package vecmath
 
 import "htdp/internal/parallel"
 
-// Blocked parallel variants of the dense kernels on the algorithms' hot
+// Sharded parallel variants of the dense kernels on the algorithms' hot
 // paths. All of them shard a row or coordinate range on the
 // internal/parallel engine, so their output is bit-identical for every
 // worker count: MatVecP writes disjoint coordinates, and the reduction
@@ -28,7 +28,7 @@ func (m *Mat) MatVecP(dst, v []float64, workers int) []float64 {
 
 // MatTVecP computes dst = Mᵀ·v, sharding the rows across workers and
 // summing per-shard partials in shard order. The summation tree is
-// blocked (fixed by the row count), so the result is worker-count
+// sharded (fixed by the row count), so the result is worker-count
 // independent, though it may differ from the single-pass MatTVec in the
 // last bits.
 func (m *Mat) MatTVecP(dst, v []float64, workers int) []float64 {
@@ -45,7 +45,7 @@ func (m *Mat) MatTVecP(dst, v []float64, workers int) []float64 {
 	})
 }
 
-// GramP is the blocked parallel Gram kernel (1/n)·XᵀX: row shards
+// GramP is the sharded parallel Gram kernel (1/n)·XᵀX: row shards
 // accumulate partial d×d second-moment matrices that are merged in
 // shard order. Bit-identical for every worker count.
 func (m *Mat) GramP(workers int) *Mat {
