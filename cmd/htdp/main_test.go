@@ -147,6 +147,11 @@ func TestStreamModeErrors(t *testing.T) {
 	if err := run([]string{"-stream", path, "-algo", "dpsgd", "-accountant", "zcdp"}, &buf); err == nil {
 		t.Fatal("unknown accountant: expected error")
 	}
+	// A finite positive ε too small to calibrate is an error, not a
+	// panic that takes the process down.
+	if err := run([]string{"-stream", path, "-algo", "dpsgd", "-eps", "1e-20"}, &buf); err == nil || !strings.Contains(err.Error(), "cannot be calibrated") {
+		t.Fatalf("uncalibratable ε: err = %v, want a cannot-be-calibrated error", err)
+	}
 }
 
 func TestStreamFeedsStreamingExperiment(t *testing.T) {

@@ -61,6 +61,7 @@ func init() {
 	Register("kernel:mattvec", benchMatTVec)
 	Register("kernel:peeling", benchPeeling)
 	Register("kernel:expmech-l1", benchExpMechL1)
+	Register("kernel:rdp-sigma", benchRDPSigma)
 	Register("kernel:fw-run-seq", benchFWRun(1))
 	Register("kernel:fw-run-par", benchFWRun(0))
 }
@@ -343,6 +344,19 @@ func benchExpMechL1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dp.ExponentialL1Ball(rng, g, 1, 0.01, 1)
 	}
+}
+
+// benchRDPSigma measures one DPSGD rdp calibration at perfbench's
+// dp.rdp_sigma_ms probe parameters: Δ = 1, q = 40/9000 (batch 40 of the
+// 9000-row heavy dataset), ε = 1, δ = 9000^-1.1, T = 2.
+func benchRDPSigma(b *testing.B) {
+	p := dp.Params{Eps: 1, Delta: math.Pow(9000, -1.1)}
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += dp.SubsampledGaussianSigma(1, 40.0/9000, p, 2)
+	}
+	_ = sink
 }
 
 // benchFWRun measures a complete Algorithm 1 run (n=5000, d=200,

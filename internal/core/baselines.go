@@ -240,9 +240,10 @@ const (
 	// composition — the default.
 	AccountantCompose = "compose"
 	// AccountantRDP calibrates DPSGD noise by subsampled-Gaussian RDP
-	// accounting (dp.SampledGaussianRDP): never more noise than
-	// AccountantCompose, typically severalfold less at small sampling
-	// rates.
+	// accounting (dp.SampledGaussianRDP): typically severalfold less
+	// noise than AccountantCompose at small sampling rates, but more
+	// in a corner of few steps at a tiny rate (q ≤ 0.01 with T ≤ 5 on
+	// dp.SubsampledGaussianSigma's measured grid; up to 2.5× there).
 	AccountantRDP = "rdp"
 )
 
@@ -307,30 +308,44 @@ func dpsgdResolve(opt *DPSGDOptions, n int) (float64, error) {
 	if opt.LR == 0 {
 		opt.LR = 0.1
 	}
+	switch opt.Accountant {
+	case "", AccountantCompose, AccountantRDP:
+	default:
+		return 0, fmt.Errorf("core: unknown DPSGD accountant %q (have compose, rdp)", opt.Accountant)
+	}
 	q := float64(opt.Batch) / float64(n)
 	// Gaussian mechanism on the batch-mean gradient: replacing one
 	// sample moves it by ≤ 2C/b.
 	sens := 2 * opt.Clip / float64(opt.Batch)
-	switch opt.Accountant {
-	case "", AccountantCompose:
-		// Per-step amplified target from advanced composition.
-		perStep, err := dp.AdvancedComposition(dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T)
-		if err != nil {
-			return 0, fmt.Errorf("core: DPSGD composition: %w", err)
-		}
-		// Invert amplification: find the largest ε₀ with
-		// log(1+q(e^{ε₀}−1)) ≤ perStep.Eps and q·δ₀ ≤ perStep.Delta.
-		eps0 := math.Log1p((math.Exp(perStep.Eps) - 1) / q)
-		delta0 := perStep.Delta / q
-		if delta0 >= 1 {
-			delta0 = perStep.Delta // degenerate q; stay conservative
-		}
-		return dp.GaussianSigma(sens, dp.Params{Eps: eps0, Delta: delta0}), nil
-	case AccountantRDP:
-		return dp.SubsampledGaussianSigma(sens, q, dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T), nil
-	default:
-		return 0, fmt.Errorf("core: unknown DPSGD accountant %q (have compose, rdp)", opt.Accountant)
+	// Per-step amplified target from advanced composition: the compose
+	// accountant's budget, and the rdp search's starting bracket.
+	perStep, err := dp.AdvancedComposition(dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T)
+	if err != nil {
+		return 0, fmt.Errorf("core: DPSGD composition: %w", err)
 	}
+	// Invert amplification: find the largest ε₀ with
+	// log(1+q(e^{ε₀}−1)) ≤ perStep.Eps and q·δ₀ ≤ perStep.Delta.
+	eps0 := math.Log1p((math.Exp(perStep.Eps) - 1) / q)
+	delta0 := perStep.Delta / q
+	if delta0 >= 1 {
+		delta0 = perStep.Delta // degenerate q; stay conservative
+	}
+	if eps0 == 0 {
+		// e^{ε′} rounds to 1 for the per-step ε′: no finite σ meets it.
+		return 0, fmt.Errorf("core: DPSGD: ε=%g cannot be calibrated (the per-step budget underflows to 0 at δ=%g, T=%d)", opt.Eps, opt.Delta, opt.T)
+	}
+	if opt.Accountant == AccountantRDP {
+		if math.IsInf(eps0, 1) {
+			// The compose σ is 0, which leaves the rdp search no
+			// bracket to start from.
+			return 0, fmt.Errorf("core: DPSGD: ε=%g cannot be calibrated (the per-step budget overflows at δ=%g, T=%d)", opt.Eps, opt.Delta, opt.T)
+		}
+		return dp.SubsampledGaussianSigma(sens, q, dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T), nil
+	}
+	if delta0 == 0 {
+		return 0, fmt.Errorf("core: DPSGD: δ=%g cannot be calibrated (the per-step δ underflows to 0 at T=%d)", opt.Delta, opt.T)
+	}
+	return dp.GaussianSigma(sens, dp.Params{Eps: eps0, Delta: delta0}), nil
 }
 
 // DPSGDSource runs minibatch noisy SGD over any data source. Privacy:

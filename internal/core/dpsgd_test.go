@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -185,6 +186,46 @@ func TestDPSGDErrors(t *testing.T) {
 	noRng.Rng = nil
 	if _, err := DPSGDSource(direct["mem"], noRng); err == nil {
 		t.Fatal("missing Rng accepted")
+	}
+}
+
+// TestDPSGDUncalibratableBudget pins the error, not a panic, for
+// budgets no noise level can be calibrated to: at ε = 1e-20 and 1e-300
+// the per-step budget underflows to 0 under either accountant, at
+// ε = 1e300 it overflows and leaves the rdp search no bracket, and a δ
+// whose per-step share underflows leaves compose no Gaussian σ. The
+// compose accountant at ε = 1e300 still runs (σ = 0), as before.
+func TestDPSGDUncalibratableBudget(t *testing.T) {
+	direct, _ := dpsgdFixture(t)
+	for _, tc := range []struct {
+		acct  string
+		eps   float64
+		delta float64
+		T     int
+	}{
+		{AccountantCompose, 1e-20, 1e-5, 8}, {AccountantRDP, 1e-20, 1e-5, 8},
+		{AccountantCompose, 1e-300, 1e-5, 8}, {AccountantRDP, 1e-300, 1e-5, 8},
+		{AccountantRDP, 1e300, 1e-5, 8},
+		{AccountantCompose, 1, 1e-307, 1e18},
+	} {
+		opt := dpsgdOpt(1, tc.acct)
+		opt.Eps, opt.Delta, opt.T = tc.eps, tc.delta, tc.T
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s ε=%g δ=%g: panic %v", tc.acct, tc.eps, tc.delta, r)
+				}
+			}()
+			_, err := DPSGDSource(direct["mem"], opt)
+			if err == nil || !strings.Contains(err.Error(), "cannot be calibrated") {
+				t.Errorf("%s ε=%g δ=%g: err = %v, want a cannot-be-calibrated error", tc.acct, tc.eps, tc.delta, err)
+			}
+		}()
+	}
+	opt := dpsgdOpt(1, AccountantCompose)
+	opt.Eps = 1e300
+	if _, err := DPSGDSource(direct["mem"], opt); err != nil {
+		t.Fatalf("compose at ε=1e300: %v", err)
 	}
 }
 

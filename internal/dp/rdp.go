@@ -67,6 +67,12 @@ func logAddExp(a, b float64) float64 {
 	if math.IsInf(a, -1) {
 		return a
 	}
+	if b-a < -746 {
+		// math.Exp is exactly 0 below its underflow bound (≈ −745.13),
+		// so the sum is a + log1p(0): skip both calls. The + 0 keeps
+		// their result for a = −0, which comes out +0.
+		return a + 0
+	}
 	return a + math.Log1p(math.Exp(b-a))
 }
 
@@ -131,29 +137,63 @@ func GaussianSigmaRDP(sensitivity float64, p Params, T int) float64 {
 	if T < 1 {
 		panic("dp: GaussianSigmaRDP needs T ≥ 1")
 	}
+	orders := DefaultOrders()
+	logInvDelta := math.Log(1 / p.Delta)
+	// ok(σ) is GaussianRDP(σ, Δ).SelfCompose(T).ToDP(δ) ≤ ε, evaluated
+	// order by order with the same operations and without building the
+	// curve: the minimum is ≤ ε exactly when some order is.
 	ok := func(sigma float64) bool {
-		return GaussianRDP(sigma, sensitivity).SelfCompose(T).ToDP(p.Delta) <= p.Eps
+		if sigma <= 0 {
+			panic("dp: GaussianRDP needs σ > 0 and Δ ≥ 0")
+		}
+		c := sensitivity * sensitivity / (2 * sigma * sigma)
+		for _, a := range orders {
+			// float64() rounds the product before the add, as storing
+			// the composed curve did, on platforms that fuse them too.
+			if float64(float64(T)*(a*c))+logInvDelta/(a-1) <= p.Eps {
+				return true
+			}
+		}
+		return false
 	}
-	// Bracket: the advanced-composition σ is always sufficient.
+	// Bracket: the advanced-composition σ.
 	perIter, err := AdvancedComposition(p, T)
 	if err != nil {
 		// T small or δ tiny: fall back to basic composition bracket.
 		perIter = Params{Eps: p.Eps / float64(T), Delta: p.Delta / float64(T+1)}
 	}
-	hi := GaussianSigma(sensitivity, Params{Eps: perIter.Eps, Delta: math.Max(perIter.Delta, 1e-12)})
-	if !ok(hi) {
-		// Extremely unusual; widen until valid.
-		for i := 0; i < 60 && !ok(hi); i++ {
-			hi *= 2
+	return bisectSigma(GaussianSigma(sensitivity, Params{Eps: perIter.Eps, Delta: math.Max(perIter.Delta, 1e-12)}), ok)
+}
+
+// bisectSigma is the σ search behind GaussianSigmaRDP and
+// SubsampledGaussianSigma. Starting from the bracket hi, it doubles hi
+// (at most 60 times) until ok(hi), then runs 80 steps of geometric
+// bisection on [hi/1024, hi], keeping hi on the passing side, and
+// returns hi: the smallest passing σ on that grid.
+//
+// The bisection reaches adjacent floats after about 55 steps; from then
+// on mid equals lo or hi. Once mid equals an end whose outcome is known
+// (hi after a passing probe, lo after a failing one; the initial lo is
+// never probed), the step would leave both ends unchanged, and so would
+// every step after it, so the loop stops there with the same hi.
+func bisectSigma(hi float64, ok func(sigma float64) bool) float64 {
+	hiPasses := false
+	for i := 0; i < 60; i++ {
+		if hiPasses = ok(hi); hiPasses {
+			break
 		}
+		hi *= 2
 	}
-	lo := hi / 1024
+	lo, loFails := hi/1024, false
 	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection
+		mid := math.Sqrt(lo * hi)
+		if (mid == hi && hiPasses) || (mid == lo && loFails) {
+			break
+		}
 		if ok(mid) {
-			hi = mid
+			hi, hiPasses = mid, true
 		} else {
-			lo = mid
+			lo, loFails = mid, true
 		}
 	}
 	return hi
@@ -179,49 +219,147 @@ func SampledGaussianRDP(noiseMult, q float64) RDP {
 	if q <= 0 || q > 1 {
 		panic("dp: SampledGaussianRDP needs 0 < q ≤ 1")
 	}
-	var orders, eps []float64
+	plan := newSGMPlan(q)
+	den := 2 * noiseMult * noiseMult
+	eps := make([]float64, len(plan.orders))
+	for i, a := range plan.orders {
+		terms, _ := plan.terms(i, den)
+		eps[i] = logSumExp(terms) / (a - 1)
+	}
+	return RDP{Orders: plan.orders, Eps: eps}
+}
+
+// sgmPlan holds the parts of SampledGaussianRDP's bound that do not
+// depend on the noise multiplier m, for one sampling rate q and every
+// integer order α ≥ 2 of DefaultOrders. Term k of order α is
+//
+//	log[C(α,k) q^k (1−q)^{α−k} e^{k(k−1)/(2m²)}] = (A + k(k−1)/(2m²)) + (α−k)·ln(1−q)
+//
+// with A = lnBinom(α,k) + k·ln q tabulated here (lnBinom from one lgamma
+// table), and the last product left out at k = α. A σ search evaluates
+// the bound at ~55 values of m against one plan.
+type sgmPlan struct {
+	orders  []float64   // the integer orders α ≥ 2, ascending
+	a       [][]float64 // a[i][k]: A of order orders[i], k = 0..α
+	ln1Q    float64     // ln(1−q)
+	full    bool        // q = 1: (1−q)^{α−k} = 0, only the k = α term survives
+	scratch []float64   // one order's terms, reused by every evaluation
+}
+
+func newSGMPlan(q float64) *sgmPlan {
+	lnQ := math.Log(q)
+	p := &sgmPlan{ln1Q: math.Log1p(-q), full: q == 1}
+	var lnFact []float64 // lnFact[j] = ln j! = lgamma(j+1)
 	for _, a := range DefaultOrders() {
 		if a < 2 || a != math.Trunc(a) {
 			continue // the closed form needs integer α
 		}
-		orders = append(orders, a)
-		eps = append(eps, sampledGaussianEps(noiseMult, q, int(a)))
+		alpha := int(a)
+		for j := len(lnFact); j <= alpha; j++ {
+			v, _ := math.Lgamma(float64(j + 1))
+			lnFact = append(lnFact, v)
+		}
+		row := make([]float64, alpha+1)
+		for k := range row {
+			row[k] = lnFact[alpha] - lnFact[k] - lnFact[alpha-k] + float64(k)*lnQ
+		}
+		p.orders = append(p.orders, a)
+		p.a = append(p.a, row)
 	}
-	return RDP{Orders: orders, Eps: eps}
+	p.scratch = make([]float64, len(lnFact))
+	return p
 }
 
-// sampledGaussianEps evaluates the integer-order SGM bound in log space.
-func sampledGaussianEps(m, q float64, alpha int) float64 {
-	lnQ := math.Log(q)
-	ln1Q := math.Log1p(-q)
-	logSum := math.Inf(-1)
-	for k := 0; k <= alpha; k++ {
-		if q == 1 && k < alpha {
-			continue // (1−q)^{α−k} = 0: the term vanishes
-		}
-		term := lnBinom(alpha, k) + float64(k)*lnQ + float64(k)*float64(k-1)/(2*m*m)
-		if alpha-k > 0 {
-			term += float64(alpha-k) * ln1Q
-		}
-		logSum = logAddExp(logSum, term)
+// term is term k of the order whose A row is row, at den = 2m².
+func (p *sgmPlan) term(row []float64, k int, den float64) float64 {
+	fk, alpha := float64(k), len(row)-1
+	t := row[k] + fk*(fk-1)/den
+	if k < alpha {
+		t += (float64(alpha) - fk) * p.ln1Q
 	}
-	return logSum / float64(alpha-1)
+	return t
 }
 
-// lnBinom returns log C(n, k) via lgamma.
-func lnBinom(n, k int) float64 {
-	a, _ := math.Lgamma(float64(n + 1))
-	b, _ := math.Lgamma(float64(k + 1))
-	c, _ := math.Lgamma(float64(n - k + 1))
-	return a - b - c
+// terms evaluates order i's terms, k ascending, at den = 2m² into the
+// plan's scratch and returns them with their largest value (−∞ if every
+// term is NaN). At q = 1 that is the k = α term alone.
+func (p *sgmPlan) terms(i int, den float64) (terms []float64, largest float64) {
+	row := p.a[i]
+	k0 := 0
+	if p.full {
+		k0 = len(row) - 1
+	}
+	terms = p.scratch[:len(row)-k0]
+	largest = math.Inf(-1)
+	for k := k0; k < len(row); k++ {
+		t := p.term(row, k, den)
+		terms[k-k0] = t
+		if t > largest {
+			largest = t
+		}
+	}
+	return terms, largest
+}
+
+// logSumExp folds the terms in order with logAddExp: log Σ e^t.
+func logSumExp(terms []float64) float64 {
+	s := math.Inf(-1)
+	for _, t := range terms {
+		s = logAddExp(s, t)
+	}
+	return s
+}
+
+// meets reports SampledGaussianRDP(m, q).SelfCompose(T).ToDP(δ) ≤ ε —
+// the same bool, computed with the same operations — without building
+// the curve. logInvDelta is log(1/δ). The minimum over orders is ≤ ε
+// exactly when some order's value is (NaN orders count in neither
+// form), so it returns at the first such order. An order fails without
+// its log-sum when one of its terms already puts it over ε: the fold
+// never yields less than its largest term (each logAddExp step adds
+// log1p of a non-negative value to the larger argument, and rounding
+// is monotone) unless it yields NaN, and the order's value
+// T·(S/(α−1)) + log(1/δ)/(α−1) is non-decreasing in its log-sum S.
+// The k = α term, which dominates at small m, is tried first.
+func (p *sgmPlan) meets(m float64, T int, eps, logInvDelta float64) bool {
+	if m <= 0 {
+		panic("dp: SampledGaussianRDP needs noise multiplier > 0")
+	}
+	den := 2 * m * m
+	for i, a := range p.orders {
+		// The order's value at log-sum s, as SelfCompose then ToDP
+		// compute it; float64() rounds the product before the add, as
+		// storing the composed curve did.
+		value := func(s float64) float64 {
+			return float64(float64(T)*(s/(a-1))) + logInvDelta/(a-1)
+		}
+		row := p.a[i]
+		if value(p.term(row, len(row)-1, den)) > eps {
+			continue
+		}
+		terms, largest := p.terms(i, den)
+		if value(largest) > eps {
+			continue
+		}
+		if value(logSumExp(terms)) <= eps {
+			return true
+		}
+	}
+	return false
 }
 
 // SubsampledGaussianSigma returns the smallest σ on a bisection grid
 // such that T rounds of the Gaussian mechanism with ℓ2-sensitivity Δ,
 // each run on a uniformly sampled q-fraction of the data, are
 // (ε, δ)-DP under subsampled-Gaussian RDP accounting
-// (SampledGaussianRDP). It is never larger than calibrating through the
-// amplification lemma plus advanced composition, and is typically
+// (SampledGaussianRDP). The search starts from the "compose"
+// calibration (the amplification lemma over an advanced-composition
+// per-step budget), so σ is never larger than that one whenever this
+// accountant certifies it. At small q·T it may not: the search then
+// doubles its bracket and σ comes out larger. Over q ∈ [40/9000, 1],
+// T ∈ [1, 1000], ε ∈ [0.1, 8] and δ ∈ [1e-9, 1e-3] that happens in 16
+// of 1 008 cases, all with q ≤ 0.01 and T ≤ 5 (q = 40/9000, T = 1,
+// ε = 1, δ = 1e-5: 1.154 against 1.105). Elsewhere σ is typically
 // severalfold smaller at small q and large T.
 func SubsampledGaussianSigma(sensitivity, q float64, p Params, T int) float64 {
 	if err := p.Validate(); err != nil {
@@ -239,8 +377,10 @@ func SubsampledGaussianSigma(sensitivity, q float64, p Params, T int) float64 {
 	if T < 1 {
 		panic("dp: SubsampledGaussianSigma needs T ≥ 1")
 	}
+	plan := newSGMPlan(q)
+	logInvDelta := math.Log(1 / p.Delta)
 	ok := func(sigma float64) bool {
-		return SampledGaussianRDP(sigma/sensitivity, q).SelfCompose(T).ToDP(p.Delta) <= p.Eps
+		return plan.meets(sigma/sensitivity, T, p.Eps, logInvDelta)
 	}
 	// Bracket with the amplification-lemma calibration: per-step budget
 	// by advanced composition, de-amplified through the subsampling
@@ -254,20 +394,7 @@ func SubsampledGaussianSigma(sensitivity, q float64, p Params, T int) float64 {
 	if delta0 >= 1 {
 		delta0 = perStep.Delta
 	}
-	hi := GaussianSigma(sensitivity, Params{Eps: eps0, Delta: math.Max(delta0, 1e-12)})
-	for i := 0; i < 60 && !ok(hi); i++ {
-		hi *= 2
-	}
-	lo := hi / 1024
-	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection
-		if ok(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
+	return bisectSigma(GaussianSigma(sensitivity, Params{Eps: eps0, Delta: math.Max(delta0, 1e-12)}), ok)
 }
 
 // AmplifyBySubsampling returns the privacy of running an (ε, δ)-DP

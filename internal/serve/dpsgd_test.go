@@ -90,3 +90,25 @@ func TestRunDPSGDKnobValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDPSGDUncalibratableBudget pins the 422 for a finite positive
+// ε no noise level can be calibrated to: the run fails with core's
+// error, not a recovered panic, under both accountants.
+func TestRunDPSGDUncalibratableBudget(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	for _, body := range []string{
+		`{"dataset":"csv","algo":"dpsgd","eps":1e-20}`,
+		`{"dataset":"csv","algo":"dpsgd","eps":1e-20,"accountant":"rdp"}`,
+		`{"dataset":"csv","algo":"dpsgd","eps":1e300,"accountant":"rdp"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 422 || !strings.Contains(string(msg), "cannot be calibrated") || strings.Contains(string(msg), "panicked") {
+			t.Errorf("%s: got %d %s, want 422 cannot be calibrated without a panic", body, resp.StatusCode, msg)
+		}
+	}
+}
