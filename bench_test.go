@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per
-// figure (Figures 1–11), one for the Theorem 9 lower-bound check, one
-// per ablation, and micro-benchmarks for the primitives on the hot
-// path. Figure benchmarks run the corresponding experiment spec at a
+// Micro-benchmarks for the primitives on the hot path, their
+// worker-count sweeps, and the Source backends. The figure, lower-bound
+// and ablation benchmarks are registered once, in internal/benchio
+// (`go run ./cmd/htdp -benchjson out.json -benchfilter '^fig:'`), at a
 // reduced scale; `go run ./cmd/htdp -run figN -reps 20 -scale 1`
 // executes the full paper protocol.
 package htdp_test
@@ -21,47 +21,6 @@ import (
 	"htdp/internal/robust"
 	"htdp/internal/vecmath"
 )
-
-// benchCfg keeps per-iteration work bounded while exercising every code
-// path of the figure.
-var benchCfg = htdp.ExperimentConfig{Reps: 2, Scale: 0.02, Seed: 1}
-
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	spec, err := htdp.LookupExperiment(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		panels, err := spec.Run(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(panels) == 0 {
-			b.Fatal("no panels")
-		}
-	}
-}
-
-func BenchmarkFig1(b *testing.B)  { benchFigure(b, "fig1") }
-func BenchmarkFig2(b *testing.B)  { benchFigure(b, "fig2") }
-func BenchmarkFig3(b *testing.B)  { benchFigure(b, "fig3") }
-func BenchmarkFig4(b *testing.B)  { benchFigure(b, "fig4") }
-func BenchmarkFig5(b *testing.B)  { benchFigure(b, "fig5") }
-func BenchmarkFig6(b *testing.B)  { benchFigure(b, "fig6") }
-func BenchmarkFig7(b *testing.B)  { benchFigure(b, "fig7") }
-func BenchmarkFig8(b *testing.B)  { benchFigure(b, "fig8") }
-func BenchmarkFig9(b *testing.B)  { benchFigure(b, "fig9") }
-func BenchmarkFig10(b *testing.B) { benchFigure(b, "fig10") }
-func BenchmarkFig11(b *testing.B) { benchFigure(b, "fig11") }
-
-func BenchmarkLowerBound(b *testing.B)          { benchFigure(b, "lowerbound") }
-func BenchmarkAblationEstimators(b *testing.B)  { benchFigure(b, "abl-estimators") }
-func BenchmarkAblationAlg1VsAlg2(b *testing.B)  { benchFigure(b, "abl-alg1-vs-alg2") }
-func BenchmarkAblationShrinkK(b *testing.B)     { benchFigure(b, "abl-shrink-k") }
-func BenchmarkAblationSelection(b *testing.B)   { benchFigure(b, "abl-selection") }
-func BenchmarkAblationSplitVsFull(b *testing.B) { benchFigure(b, "abl-split-vs-full") }
 
 // --- primitive micro-benchmarks -------------------------------------
 

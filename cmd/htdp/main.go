@@ -230,18 +230,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *stream != "" {
 		// Feed the source-streaming experiments from the CSV instead of
-		// their default on-demand generator. Index the file once up
-		// front; each trial reopens its own handle over the shared
-		// index (Reopen is goroutine-safe, sources are not).
-		base, err := data.OpenCSV(*stream, filepath.Base(*stream), *labelCol, *header)
-		if err != nil {
+		// their default on-demand generator. The pool indexes the file
+		// once and decodes it on the first trial's Acquire when it fits
+		// its budget; every trial then reads its own view of those rows
+		// (past the budget, its own handle over the shared index).
+		pool := data.NewSourcePool()
+		defer pool.Close()
+		name := filepath.Base(*stream)
+		if _, err := pool.RegisterCSV(name, *stream, *labelCol, *header); err != nil {
 			return err
 		}
-		defer base.Close()
-		cfg.Source = func(int64) (data.Source, error) { return base.Reopen() }
-		// Reopen ignores the seed — the factory is seed-invariant, so a
-		// batched trial can read the CSV once for its whole grid.
-		cfg.SharedSource = true
+		cfg.Source = func(int64) (data.Source, error) { return pool.Acquire(name) }
 	}
 	for _, s := range specs {
 		start := time.Now()
@@ -293,7 +292,10 @@ func runBenchJSON(w io.Writer, outPath, baselinePath, filter string, tol float64
 	if err != nil {
 		return err
 	}
-	regs := benchio.Compare(base, rep, tol)
+	regs, err := benchio.Compare(base, rep, tol)
+	if err != nil {
+		return err
+	}
 	if len(regs) == 0 {
 		fmt.Fprintf(w, "benchmark gate: no regressions beyond %.0f%% against %s\n", tol*100, baselinePath)
 		return nil

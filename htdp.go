@@ -562,7 +562,8 @@ type (
 func GaussianRDP(sigma, sensitivity float64) RDP { return dp.GaussianRDP(sigma, sensitivity) }
 
 // GaussianSigmaRDP calibrates σ for T-fold Gaussian composition under
-// RDP accounting (tighter than advanced composition).
+// RDP accounting (tighter than advanced composition); +Inf when no σ
+// meets the budget.
 func GaussianSigmaRDP(sensitivity float64, p DPParams, T int) float64 {
 	return dp.GaussianSigmaRDP(sensitivity, p, T)
 }

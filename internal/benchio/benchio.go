@@ -72,16 +72,6 @@ func Register(name string, f func(b *testing.B)) {
 	registry = append(registry, Benchmark{Name: name, F: f})
 }
 
-// Names returns the registered benchmark names, sorted.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, b := range registry {
-		out[i] = b.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
 // calibSink defeats dead-code elimination of the calibration spin.
 var calibSink float64
 
@@ -224,14 +214,23 @@ func (r Regression) String() string {
 	if r.AllocRegression {
 		return fmt.Sprintf("%s: allocs/op %d → %d (was allocation-free)", r.Name, r.OldAllocs, r.NewAllocs)
 	}
-	return fmt.Sprintf("%s: %.2fx slower (normalized %.0f → %.0f ns/op)", r.Name, r.Ratio, r.OldNorm, r.NewNorm)
+	return fmt.Sprintf("%s: %.2fx slower (normalized %.3g → %.3g ns/op)", r.Name, r.Ratio, r.OldNorm, r.NewNorm)
 }
 
 // Compare diffs current against baseline and returns every regression:
 // a calibration-normalized slowdown beyond tol (0.25 = 25%), or a
 // zero-allocs/op benchmark that now allocates. Benchmarks present in
 // only one report are ignored (the trajectory may grow or shrink).
-func Compare(baseline, current Report, tol float64) []Regression {
+//
+// Reports recorded at different GOMAXPROCS are refused with an error
+// naming both: the parallel kernels fan out differently (at 1 they
+// spawn no goroutines and allocate nothing), so their difference would
+// read as a regression of the code.
+func Compare(baseline, current Report, tol float64) ([]Regression, error) {
+	if baseline.GOMAXPROCS != current.GOMAXPROCS {
+		return nil, fmt.Errorf("benchio: baseline recorded at GOMAXPROCS=%d, this run at GOMAXPROCS=%d; compare reports recorded at the same GOMAXPROCS",
+			baseline.GOMAXPROCS, current.GOMAXPROCS)
+	}
 	base := make(map[string]Result, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[r.Name] = r
@@ -260,5 +259,5 @@ func Compare(baseline, current Report, tol float64) []Regression {
 			})
 		}
 	}
-	return regs
+	return regs, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"htdp/internal/core"
@@ -25,8 +24,9 @@ import (
 // sequential and the all-cores setting, and their allocs/op are part of
 // the regression gate (a zero-alloc kernel must stay zero-alloc).
 
-// figCfg mirrors bench_test.go's benchCfg: every figure code path at a
-// laptop-sized scale.
+// figCfg runs every figure code path at a laptop-sized scale. The fig:
+// entries are the repository's one set of figure benchmarks: `go test
+// -bench` runs no figure of its own.
 var figCfg = experiments.Config{Reps: 2, Scale: 0.02, Seed: 1}
 
 func init() {
@@ -51,8 +51,6 @@ func init() {
 	Register("data:pool-csv-pass", benchPoolCSVPass)
 	Register("data:pool-csv-rowat", benchPoolCSVRowAt)
 
-	Register("sweep:streaming-batched", benchSweepPasses)
-
 	Register("kernel:robust-term", benchRobustTerm)
 	Register("kernel:catoni-chunk-seq", benchCatoniChunk(1))
 	Register("kernel:catoni-chunk-par", benchCatoniChunk(0))
@@ -64,48 +62,6 @@ func init() {
 	Register("kernel:rdp-sigma", benchRDPSigma)
 	Register("kernel:fw-run-seq", benchFWRun(1))
 	Register("kernel:fw-run-par", benchFWRun(0))
-}
-
-// benchSweepPasses measures how many times one full "streaming" sweep
-// opens its (seed-invariant) data source — data passes, reported as
-// passes/op next to the usual ns/op — against the trials it evaluates,
-// reported as trials/op (grid points × reps, summed over the returned
-// series). The engine reads once per (rep, series), so passes/op stays
-// flat as the grid widens while trials/op grows with it; a per-point
-// engine would read once per trial. The pair is the measured form of
-// the O(panels) → O(1) claim in DESIGN.md's "Batched sweeps".
-func benchSweepPasses(b *testing.B) {
-	spec, err := experiments.Lookup("streaming")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var opens atomic.Int64
-	cfg := figCfg
-	cfg.Source = func(int64) (data.Source, error) {
-		opens.Add(1)
-		return data.LinearSource(9, data.LinearOpt{
-			N: 500, D: 20,
-			Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
-			Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
-		}), nil
-	}
-	cfg.SharedSource = true
-	var panels []experiments.Panel
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if panels, err = spec.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	trials := 0
-	for _, p := range panels {
-		for _, s := range p.Series {
-			trials += len(s.X) * cfg.Reps
-		}
-	}
-	b.ReportMetric(float64(opens.Load())/float64(b.N), "passes/op")
-	b.ReportMetric(float64(trials), "trials/op")
 }
 
 // genDemoLinear is cmd/htdp's built-in demo-linear dataset: 2000 rows

@@ -315,8 +315,13 @@ func dpsgdResolve(opt *DPSGDOptions, n int) (float64, error) {
 	}
 	q := float64(opt.Batch) / float64(n)
 	// Gaussian mechanism on the batch-mean gradient: replacing one
-	// sample moves it by ≤ 2C/b.
+	// sample moves it by ≤ 2C/b. A sensitivity that rounds to 0 would
+	// release the clipped gradients without noise, and one that
+	// overflows calibrates no noise level; both are refused.
 	sens := 2 * opt.Clip / float64(opt.Batch)
+	if !(sens > 0) || math.IsInf(sens, 1) {
+		return 0, fmt.Errorf("core: DPSGD: clip=%g cannot be calibrated (the sensitivity 2·clip/batch is %g at batch=%d)", opt.Clip, sens, opt.Batch)
+	}
 	// Per-step amplified target from advanced composition: the compose
 	// accountant's budget, and the rdp search's starting bracket.
 	perStep, err := dp.AdvancedComposition(dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T)
@@ -340,12 +345,20 @@ func dpsgdResolve(opt *DPSGDOptions, n int) (float64, error) {
 			// bracket to start from.
 			return 0, fmt.Errorf("core: DPSGD: ε=%g cannot be calibrated (the per-step budget overflows at δ=%g, T=%d)", opt.Eps, opt.Delta, opt.T)
 		}
-		return dp.SubsampledGaussianSigma(sens, q, dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T), nil
+		sigma := dp.SubsampledGaussianSigma(sens, q, dp.Params{Eps: opt.Eps, Delta: opt.Delta}, opt.T)
+		if math.IsInf(sigma, 1) {
+			return 0, fmt.Errorf("core: DPSGD: ε=%g cannot be calibrated (the rdp accountant certifies no noise level at δ=%g, q=%g, T=%d)", opt.Eps, opt.Delta, q, opt.T)
+		}
+		return sigma, nil
 	}
 	if delta0 == 0 {
 		return 0, fmt.Errorf("core: DPSGD: δ=%g cannot be calibrated (the per-step δ underflows to 0 at T=%d)", opt.Delta, opt.T)
 	}
-	return dp.GaussianSigma(sens, dp.Params{Eps: eps0, Delta: delta0}), nil
+	sigma := dp.GaussianSigma(sens, dp.Params{Eps: eps0, Delta: delta0})
+	if math.IsInf(sigma, 1) {
+		return 0, fmt.Errorf("core: DPSGD: ε=%g cannot be calibrated (the noise level overflows at δ=%g, clip=%g, T=%d)", opt.Eps, opt.Delta, opt.Clip, opt.T)
+	}
+	return sigma, nil
 }
 
 // DPSGDSource runs minibatch noisy SGD over any data source. Privacy:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,6 +228,47 @@ func TestDPSGDUncalibratableBudget(t *testing.T) {
 	opt.Eps = 1e300
 	if _, err := DPSGDSource(direct["mem"], opt); err != nil {
 		t.Fatalf("compose at ε=1e300: %v", err)
+	}
+}
+
+// TestDPSGDCalibrationEdges: the rdp σ search's failures reach the
+// caller as errors, never as a σ the accountant rejects or a panic. At
+// q = 0.02, T = 200, ε = 0.01 is below the accountant's floor and must
+// be refused; a clip whose sensitivity 2·clip/batch rounds to 0 is
+// refused under both accountants; and a clip near the bottom of the
+// float range calibrates a finite σ and runs.
+func TestDPSGDCalibrationEdges(t *testing.T) {
+	direct, _ := dpsgdFixture(t)
+	run := func(opt DPSGDOptions) (w []float64, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return DPSGDSource(direct["mem"], opt)
+	}
+	floor := dpsgdOpt(1, AccountantRDP)
+	floor.Eps, floor.T, floor.Batch = 0.01, 200, 12 // q = 12/600
+	if _, err := run(floor); err == nil || !strings.Contains(err.Error(), "cannot be calibrated") {
+		t.Errorf("rdp below the floor: err = %v, want cannot be calibrated", err)
+	}
+	for _, acct := range []string{AccountantCompose, AccountantRDP} {
+		opt := dpsgdOpt(1, acct)
+		opt.Clip = math.SmallestNonzeroFloat64
+		if _, err := run(opt); err == nil || !strings.Contains(err.Error(), "clip") {
+			t.Errorf("%s at clip 5e-324: err = %v, want a clip error", acct, err)
+		}
+	}
+	tiny := dpsgdOpt(1, AccountantRDP)
+	tiny.Clip = 1e-300
+	w, err := run(tiny)
+	if err != nil {
+		t.Fatalf("rdp at clip 1e-300: %v", err)
+	}
+	for j, x := range w {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("rdp at clip 1e-300: w[%d] = %v", j, x)
+		}
 	}
 }
 

@@ -186,19 +186,47 @@ func TestMaxVertexL1(t *testing.T) {
 	if got := maxVertexL1(polytope.NewSimplex(4), nil); got != 1 {
 		t.Errorf("Simplex maxVertexL1 = %v", got)
 	}
-	e := polytope.NewExplicit("t", [][]float64{{1, 1}, {0, -3}})
+	e := scaledSimplex{Simplex: polytope.NewSimplex(2), Scale: 3}
 	buf := make([]float64, 2)
 	if got := maxVertexL1(e, buf); got != 3 {
-		t.Errorf("Explicit maxVertexL1 = %v", got)
+		t.Errorf("scaled-simplex maxVertexL1 = %v", got)
 	}
 	// The generic scan is memoized per polytope: a second call must hit
 	// the cache (and still agree) even with a nil buffer.
 	if got := maxVertexL1(e, nil); got != 3 {
-		t.Errorf("memoized Explicit maxVertexL1 = %v", got)
+		t.Errorf("memoized scaled-simplex maxVertexL1 = %v", got)
 	}
 	if _, ok := vertexL1Cache.Load(e); !ok {
-		t.Error("Explicit polytope not memoized")
+		t.Error("scaled simplex not memoized")
 	}
+}
+
+// scaledSimplex is the simplex stretched by Scale: a comparable
+// polytope no kernel special-cases, so it takes the generic vertex
+// selector and maxVertexL1's memoized scan.
+type scaledSimplex struct {
+	polytope.Simplex
+	Scale float64
+}
+
+func (s scaledSimplex) Name() string { return "scaled-" + s.Simplex.Name() }
+
+func (s scaledSimplex) Vertex(i int, dst []float64) []float64 {
+	return vecmath.Scale(s.Simplex.Vertex(i, dst), s.Scale)
+}
+
+func (s scaledSimplex) VertexScore(i int, g []float64) float64 {
+	return s.Scale * s.Simplex.VertexScore(i, g)
+}
+
+func (s scaledSimplex) Diameter1() float64 { return s.Scale * s.Simplex.Diameter1() }
+
+func (s scaledSimplex) Contains(w []float64, tol float64) bool {
+	return s.Simplex.Contains(vecmath.Scale(vecmath.Clone(w), 1/s.Scale), tol/s.Scale)
+}
+
+func (s scaledSimplex) Project(w []float64) []float64 {
+	return vecmath.Scale(s.Simplex.Project(vecmath.Scale(w, 1/s.Scale)), s.Scale)
 }
 
 func TestNonprivateFWConverges(t *testing.T) {

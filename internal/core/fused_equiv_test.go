@@ -225,7 +225,6 @@ func TestFusedFrankWolfeBitIdentical(t *testing.T) {
 		"squared":     loss.Squared{},
 		"logistic":    loss.Logistic{},
 		"reglogistic": loss.RegLogistic{Lambda: 0.05},
-		"huber":       loss.Huber{C: 1.345},
 		"biweight":    loss.Biweight{C: 4.685},
 		"meansquared": loss.MeanSquared{}, // non-margin: generic path
 	}
@@ -248,20 +247,14 @@ func TestFusedFrankWolfeBitIdentical(t *testing.T) {
 }
 
 // TestFusedFrankWolfeExplicitDomain covers the generic (non-ℓ1-ball)
-// vertex selector and the memoized maxVertexL1 against the reference.
+// vertex selector and the memoized maxVertexL1 against the reference,
+// on a caller-defined domain no kernel special-cases.
 func TestFusedFrankWolfeExplicitDomain(t *testing.T) {
 	ds := equivData(t)
-	verts := make([][]float64, 6)
-	r := randx.New(5)
-	for i := range verts {
-		v := make([]float64, 45)
-		v[r.Intn(45)] = r.Uniform(-2, 2)
-		verts[i] = v
-	}
-	dom := polytope.NewExplicit("equiv", verts)
+	dom := scaledSimplex{Simplex: polytope.NewSimplex(45), Scale: 1.5}
 	for _, p := range []int{1, 3} {
 		opt := FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: 1, T: 5, Parallelism: p,
-			W0: vecmath.Clone(verts[0])}
+			W0: dom.Vertex(0, make([]float64, 45))}
 		optRef := opt
 		opt.Rng, optRef.Rng = randx.New(3), randx.New(3)
 		got, err := FrankWolfeSource(data.NewMemSource(ds), opt)

@@ -95,6 +95,9 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	sh := data.ShrinkSource(src, opt.K)
 	C := data.StreamChunks(n)
 	epsIter := opt.Eps / (2 * math.Sqrt(2*float64(opt.T)*math.Log(1/opt.Delta)))
+	if !(epsIter > 0) {
+		return nil, fmt.Errorf("core: Lasso: ε=%g cannot be calibrated (the per-iteration ε underflows to 0 at δ=%g, T=%d)", opt.Eps, opt.Delta, opt.T)
+	}
 	sens := 8 * maxVertexL1(opt.Domain, nil) * opt.K * opt.K / float64(n)
 
 	w := vecmath.Clone(opt.W0)

@@ -150,3 +150,18 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 func PeelingScale(s int, eps, delta, lambda float64) float64 {
 	return 2 * lambda * math.Sqrt(3*float64(s)*math.Log(1/delta)) / eps
 }
+
+// checkPeeling refuses a Peeling round that cannot release a finite
+// vector: an iterate v that has left the float range, or a Laplace
+// scale at which a draw may overflow (a draw is at most about 37 scales
+// from 0). Both come from an ε, δ or sensitivity at the edge of the
+// float range.
+func checkPeeling(algo string, iter int, v []float64, s int, eps, delta, lambda float64) error {
+	if !vecmath.IsFinite(v) {
+		return fmt.Errorf("core: %s: ε=%g, δ=%g cannot be calibrated (the iterate is non-finite at iteration %d)", algo, eps, delta, iter)
+	}
+	if scale := PeelingScale(s, eps, delta, lambda); !(scale <= math.MaxFloat64/64) {
+		return fmt.Errorf("core: %s: ε=%g, δ=%g cannot be calibrated (the Peeling noise scale is %v)", algo, eps, delta, scale)
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"htdp/internal/data"
@@ -55,7 +56,12 @@ func TestFrankWolfePrivacyAudit(t *testing.T) {
 		}
 		// The T=1 output encodes exactly which vertex was selected:
 		// recover a scalar label (signed coordinate index).
-		j, _ := vecmath.ArgmaxAbs(w)
+		j := 0
+		for i, x := range w {
+			if math.Abs(x) > math.Abs(w[j]) {
+				j = i
+			}
+		}
 		if w[j] < 0 {
 			return float64(-j - 1)
 		}

@@ -31,7 +31,7 @@ func TestSparseLinRegValidation(t *testing.T) {
 		"no-delta": {Eps: 1, SStar: 3, Rng: r},
 		"no-sstar": {Eps: 1, Delta: 1e-5, Rng: r},
 		"big-s":    {Eps: 1, Delta: 1e-5, SStar: 3, S: 50, Rng: r},
-		"w0-dense": {Eps: 1, Delta: 1e-5, SStar: 3, Rng: r, W0: vecmath.Fill(make([]float64, 20), 0.1)},
+		"w0-dense": {Eps: 1, Delta: 1e-5, SStar: 3, Rng: r, W0: dense(20, 0.1)},
 		"w0-big": {Eps: 1, Delta: 1e-5, SStar: 3, Rng: r,
 			W0: append([]float64{2}, make([]float64, 19)...)},
 	}
@@ -134,7 +134,7 @@ func TestSparseOptValidation(t *testing.T) {
 		"no-delta": {Loss: loss.Squared{}, Eps: 1, SStar: 3, Rng: r},
 		"no-sstar": {Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, Rng: r},
 		"w0-dense": {Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 3, Rng: r,
-			W0: vecmath.Fill(make([]float64, 20), 0.1)},
+			W0: dense(20, 0.1)},
 	}
 	for name, opt := range cases {
 		if _, err := SparseOptSource(data.NewMemSource(ds), opt); err == nil {
@@ -226,4 +226,13 @@ func TestSparseOptEpsMonotone(t *testing.T) {
 	if lo, hi := avg(0.2, 30), avg(4, 40); hi > lo {
 		t.Fatalf("excess at ε=4 (%v) worse than ε=0.2 (%v)", hi, lo)
 	}
+}
+
+// dense returns an n-vector with every entry c.
+func dense(n int, c float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = c
+	}
+	return v
 }

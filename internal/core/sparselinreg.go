@@ -62,7 +62,7 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 		o.S = 2 * o.SStar
 	}
 	if o.S < o.SStar || o.S > d {
-		return fmt.Errorf("core: S=%d outside [%d,%d]", o.S, o.SStar, d)
+		return fmt.Errorf("core: S=%d outside [SStar=%d, d=%d]", o.S, o.SStar, d)
 	}
 	if o.T == 0 {
 		o.T = int(math.Log(float64(n)))
@@ -134,6 +134,9 @@ func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, er
 		vecmath.Axpy(-opt.Eta0/float64(m), grad, w)
 		// Step 6: Peeling with λ = 2K²η₀(√s+1)/m.
 		lambda := 2 * opt.K * opt.K * opt.Eta0 * (math.Sqrt(float64(opt.S)) + 1) / float64(m)
+		if err := checkPeeling("SparseLinReg", t, w, opt.S, opt.Eps, opt.Delta, lambda); err != nil {
+			return nil, err
+		}
 		peeling(&ps, wNext, opt.Rng, w, opt.S, opt.Eps, opt.Delta, lambda, opt.Parallelism)
 		w, wNext = wNext, w
 		// Step 7: project onto the unit ℓ2 ball.

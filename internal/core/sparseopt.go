@@ -74,7 +74,7 @@ func (o *SparseOptOptions) fill(n, d int) error {
 		o.S = 2 * o.SStar
 	}
 	if o.S < o.SStar || o.S > d {
-		return fmt.Errorf("core: S=%d outside [%d,%d]", o.S, o.SStar, d)
+		return fmt.Errorf("core: S=%d outside [SStar=%d, d=%d]", o.S, o.SStar, d)
 	}
 	if o.T == 0 {
 		o.T = int(math.Log(float64(n)))
@@ -151,6 +151,9 @@ func SparseOptSource(src data.Source, opt SparseOptOptions) ([]float64, error) {
 		// η·‖g̃−g̃′‖∞ ≤ η·4√2·k/(3m) (the listing's 4√2·k·η/m is the
 		// same bound with the 1/3 absorbed; we use the tight constant).
 		lambda := opt.Eta * est.Sensitivity(m)
+		if err := checkPeeling("SparseOpt", t, w, opt.S, opt.Eps, opt.Delta, lambda); err != nil {
+			return nil, err
+		}
 		peeling(&ps, wNext, opt.Rng, w, opt.S, opt.Eps, opt.Delta, lambda, opt.Parallelism)
 		w, wNext = wNext, w
 		if opt.Trace != nil {

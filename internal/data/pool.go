@@ -6,12 +6,12 @@ import (
 	"sync"
 )
 
-// MaxResidentBytes bounds the decoded rows held in memory to share one
-// decode across many readers: 256 MiB of float64s, n·(d+1)·8 bytes for
-// n rows of d features and a label. The pool holds at most this much
-// across all of its CSV and generator entries, and the sweep engine
-// holds at most this much per trial. Rows beyond it are streamed from
-// their backend on every read instead — slower, never different.
+// MaxResidentBytes bounds the decoded rows a SourcePool holds in memory
+// to share one decode across many readers: 256 MiB of float64s,
+// n·(d+1)·8 bytes for n rows of d features and a label, across all of
+// its CSV and generator entries. The pool is the one place a dataset is
+// decoded and held. Rows beyond the budget are streamed from their
+// backend on every read instead — slower, never different.
 const MaxResidentBytes = 256 << 20
 
 // SourcePool is a concurrency-safe registry of named datasets that

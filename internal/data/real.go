@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"htdp/internal/randx"
 	"htdp/internal/vecmath"
@@ -114,38 +113,4 @@ func colScaleMeans(colScale []float64, heavy []bool) []float64 {
 		}
 	}
 	return m
-}
-
-// Kurtosis returns the empirical excess kurtosis of column j — the
-// diagnostic DESIGN.md's "Substitutions" section uses to demonstrate
-// the simulated data are genuinely heavy-tailed (Gaussian ⇒ 0).
-func Kurtosis(d *Dataset, j int) float64 {
-	n := d.N()
-	var m float64
-	for i := 0; i < n; i++ {
-		m += d.X.At(i, j)
-	}
-	m /= float64(n)
-	var m2, m4 float64
-	for i := 0; i < n; i++ {
-		r := d.X.At(i, j) - m
-		m2 += r * r
-		m4 += r * r * r * r
-	}
-	m2 /= float64(n)
-	m4 /= float64(n)
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
-
-// MedianKurtosis returns the median excess kurtosis across columns.
-func MedianKurtosis(d *Dataset) float64 {
-	ks := make([]float64, d.D())
-	for j := range ks {
-		ks[j] = Kurtosis(d, j)
-	}
-	sort.Float64s(ks)
-	return ks[len(ks)/2]
 }

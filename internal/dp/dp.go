@@ -1,7 +1,8 @@
-// Package dp implements the differential-privacy substrate: the Laplace
-// and Gaussian mechanisms, the exponential mechanism (sampled with the
+// Package dp implements the differential-privacy substrate: the
+// Gaussian mechanism, the exponential mechanism (sampled with the
 // Gumbel-max trick), the advanced composition theorem (Lemma 2 of the
-// paper), and a privacy-budget accountant. It depends only on randx.
+// paper), and the RDP accountants DP-SGD calibrates with. It depends
+// only on randx.
 package dp
 
 import (
@@ -59,43 +60,6 @@ func AdvancedComposition(total Params, T int) (Params, error) {
 	}, nil
 }
 
-// BasicComposition returns the per-mechanism pure budget ε/T for
-// sequential composition of T pure-DP mechanisms.
-func BasicComposition(total Params, T int) (Params, error) {
-	if T < 1 {
-		return Params{}, fmt.Errorf("dp: composition over T=%d mechanisms", T)
-	}
-	if err := total.Validate(); err != nil {
-		return Params{}, err
-	}
-	return Params{Eps: total.Eps / float64(T), Delta: total.Delta / float64(T)}, nil
-}
-
-// LaplaceMechanism adds Laplace(Δ₁/ε) noise to each coordinate of q,
-// in place, where sensitivity is the ℓ1-sensitivity of q. The result is
-// ε-DP. It returns q.
-func LaplaceMechanism(r *randx.RNG, q []float64, sensitivity, eps float64) []float64 {
-	scale := LaplaceScale(sensitivity, eps)
-	for i := range q {
-		q[i] += r.Laplace(scale)
-	}
-	return q
-}
-
-// LaplaceScale returns the noise scale Δ₁/ε of the Laplace mechanism.
-func LaplaceScale(sensitivity, eps float64) float64 {
-	if sensitivity < 0 {
-		panic("dp: negative sensitivity")
-	}
-	if eps <= 0 {
-		panic("dp: non-positive ε")
-	}
-	if sensitivity == 0 {
-		return math.SmallestNonzeroFloat64 // degenerate: no noise needed
-	}
-	return sensitivity / eps
-}
-
 // GaussianSigma returns the standard deviation Δ₂·√(2·ln(1.25/δ))/ε of
 // the (ε, δ)-DP Gaussian mechanism for an ℓ2-sensitivity Δ₂.
 func GaussianSigma(sensitivity float64, p Params) float64 {
@@ -119,47 +83,15 @@ func GaussianMechanism(r *randx.RNG, q []float64, sensitivity float64, p Params)
 	return q
 }
 
-// Exponential samples the exponential mechanism over |scores|
-// candidates: the i-th candidate is selected with probability
-// ∝ exp(ε·scores[i]/(2Δ)). Sampling uses the Gumbel-max trick, which is
+// ExponentialLazy samples the exponential mechanism over n candidates
+// without materializing their scores: score(i) is called once per
+// candidate i ∈ [0, n), and candidate i is selected with probability
+// ∝ exp(ε·score(i)/(2Δ)). Sampling uses the Gumbel-max trick, which is
 // numerically stable for any score range: argmaxᵢ (ε·uᵢ/(2Δ) + Gᵢ) with
 // i.i.d. standard Gumbel Gᵢ is distributed exactly as the mechanism.
-//
-// sensitivity is the score sensitivity Δu; the result is ε-DP.
-func Exponential(r *randx.RNG, scores []float64, sensitivity, eps float64) int {
-	if len(scores) == 0 {
-		panic("dp: Exponential with no candidates")
-	}
-	if sensitivity < 0 {
-		panic("dp: negative sensitivity")
-	}
-	if eps <= 0 {
-		panic("dp: non-positive ε")
-	}
-	if sensitivity == 0 {
-		// No data dependence: the mechanism degenerates to exact argmax.
-		best, bi := math.Inf(-1), 0
-		for i, s := range scores {
-			if s > best {
-				best, bi = s, i
-			}
-		}
-		return bi
-	}
-	c := eps / (2 * sensitivity)
-	best, bi := math.Inf(-1), 0
-	for i, s := range scores {
-		v := c*s + r.Gumbel()
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-// ExponentialLazy is Exponential without materializing the score slice:
-// score(i) is called once per candidate i ∈ [0, n). Used for the ℓ1-ball
-// polytope whose 2d vertices are implicit.
+// sensitivity is the score sensitivity Δu; the result is ε-DP. At
+// Δu = 0 the selection has no data dependence and is the exact argmax.
+// Used for polytopes whose vertices are implicit.
 func ExponentialLazy(r *randx.RNG, n int, score func(int) float64, sensitivity, eps float64) int {
 	if n <= 0 {
 		panic("dp: ExponentialLazy with no candidates")
@@ -231,44 +163,4 @@ func ExponentialL1Ball(r *randx.RNG, g []float64, radius, sensitivity, eps float
 		}
 	}
 	return bi
-}
-
-// Accountant tracks cumulative privacy spending under basic (linear)
-// composition; it is a guard rail for experiment code, not a tight
-// accountant. Spend returns an error once the budget is exceeded.
-type Accountant struct {
-	Budget Params
-	spent  Params
-}
-
-// NewAccountant returns an accountant with the given total budget.
-func NewAccountant(budget Params) (*Accountant, error) {
-	if err := budget.Validate(); err != nil {
-		return nil, err
-	}
-	return &Accountant{Budget: budget}, nil
-}
-
-// Spend records a mechanism invocation at cost p.
-func (a *Accountant) Spend(p Params) error {
-	ne := a.spent.Eps + p.Eps
-	nd := a.spent.Delta + p.Delta
-	const slack = 1e-9
-	if ne > a.Budget.Eps*(1+slack) || nd > a.Budget.Delta*(1+slack)+slack {
-		return fmt.Errorf("dp: budget exceeded: spent %v + request %v > budget %v",
-			a.spent, p, a.Budget)
-	}
-	a.spent.Eps, a.spent.Delta = ne, nd
-	return nil
-}
-
-// Spent returns the cumulative spend so far.
-func (a *Accountant) Spent() Params { return a.spent }
-
-// Remaining returns the unspent budget (clamped at zero).
-func (a *Accountant) Remaining() Params {
-	return Params{
-		Eps:   math.Max(0, a.Budget.Eps-a.spent.Eps),
-		Delta: math.Max(0, a.Budget.Delta-a.spent.Delta),
-	}
 }

@@ -28,14 +28,14 @@ func Example() {
 	// RDP saves at least 25%: true
 }
 
-// ExampleExponential selects privately among candidates scored by a
+// ExampleExponentialLazy selects privately among candidates scored by a
 // dataset-dependent utility.
-func ExampleExponential() {
+func ExampleExponentialLazy() {
 	rng := randx.New(1)
 	scores := []float64{0, 1, 10} // candidate 2 is far better
 	wins := 0
 	for i := 0; i < 1000; i++ {
-		if dp.Exponential(rng, scores, 1, 2) == 2 {
+		if dp.ExponentialLazy(rng, len(scores), func(i int) float64 { return scores[i] }, 1, 2) == 2 {
 			wins++
 		}
 	}

@@ -39,26 +39,6 @@ func GaussianRDP(sigma, sensitivity float64) RDP {
 	return RDP{Orders: orders, Eps: eps}
 }
 
-// LaplaceRDP returns the RDP curve of the Laplace mechanism with the
-// given noise scale b and ℓ1 sensitivity Δ (Mironov 2017, Table II):
-// with t = Δ/b,
-//
-//	ε(α) = (1/(α−1))·log( α/(2α−1)·e^{(α−1)t} + (α−1)/(2α−1)·e^{−αt} ).
-func LaplaceRDP(scale, sensitivity float64) RDP {
-	if scale <= 0 || sensitivity < 0 {
-		panic("dp: LaplaceRDP needs b > 0 and Δ ≥ 0")
-	}
-	t := sensitivity / scale
-	orders := DefaultOrders()
-	eps := make([]float64, len(orders))
-	for i, a := range orders {
-		lhs := math.Log(a/(2*a-1)) + (a-1)*t
-		rhs := math.Log((a-1)/(2*a-1)) - a*t
-		eps[i] = logAddExp(lhs, rhs) / (a - 1)
-	}
-	return RDP{Orders: orders, Eps: eps}
-}
-
 // logAddExp returns log(e^a + e^b) without overflow.
 func logAddExp(a, b float64) float64 {
 	if a < b {
@@ -124,9 +104,9 @@ func (r RDP) ToDP(delta float64) float64 {
 
 // GaussianSigmaRDP returns the smallest σ on a bisection grid such that
 // T-fold composition of the Gaussian mechanism with ℓ2-sensitivity Δ is
-// (ε, δ)-DP under RDP accounting. It is never larger than the
-// advanced-composition calibration and is typically ~2–3× smaller for
-// large T.
+// (ε, δ)-DP under RDP accounting, or +Inf when the search certifies no
+// σ. It is never larger than the advanced-composition calibration and
+// is typically ~2–3× smaller for large T.
 func GaussianSigmaRDP(sensitivity float64, p Params, T int) float64 {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("dp: GaussianSigmaRDP: %v", err))
@@ -169,7 +149,12 @@ func GaussianSigmaRDP(sensitivity float64, p Params, T int) float64 {
 // SubsampledGaussianSigma. Starting from the bracket hi, it doubles hi
 // (at most 60 times) until ok(hi), then runs 80 steps of geometric
 // bisection on [hi/1024, hi], keeping hi on the passing side, and
-// returns hi: the smallest passing σ on that grid.
+// returns hi: the smallest passing σ on that grid. When no probe
+// passed, no σ it tried is certified, and it returns +Inf.
+//
+// The midpoint is √(lo·hi), taken as √lo·√hi where the product would
+// lose precision (0, subnormal) or overflow (+Inf): brackets scale with
+// the sensitivity, which may sit at either end of the float range.
 //
 // The bisection reaches adjacent floats after about 55 steps; from then
 // on mid equals lo or hi. Once mid equals an end whose outcome is known
@@ -186,7 +171,11 @@ func bisectSigma(hi float64, ok func(sigma float64) bool) float64 {
 	}
 	lo, loFails := hi/1024, false
 	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi)
+		p := lo * hi
+		mid := math.Sqrt(p)
+		if p < 0x1p-1022 || math.IsInf(p, 1) {
+			mid = math.Sqrt(lo) * math.Sqrt(hi)
+		}
 		if (mid == hi && hiPasses) || (mid == lo && loFails) {
 			break
 		}
@@ -195,6 +184,9 @@ func bisectSigma(hi float64, ok func(sigma float64) bool) float64 {
 		} else {
 			lo, loFails = mid, true
 		}
+	}
+	if !hiPasses {
+		return math.Inf(1)
 	}
 	return hi
 }
@@ -320,10 +312,11 @@ func logSumExp(terms []float64) float64 {
 // log1p of a non-negative value to the larger argument, and rounding
 // is monotone) unless it yields NaN, and the order's value
 // T·(S/(α−1)) + log(1/δ)/(α−1) is non-decreasing in its log-sum S.
-// The k = α term, which dominates at small m, is tried first.
+// The k = α term, which dominates at small m, is tried first. A
+// multiplier that is not positive adds no noise and meets no budget.
 func (p *sgmPlan) meets(m float64, T int, eps, logInvDelta float64) bool {
-	if m <= 0 {
-		panic("dp: SampledGaussianRDP needs noise multiplier > 0")
+	if !(m > 0) {
+		return false
 	}
 	den := 2 * m * m
 	for i, a := range p.orders {
@@ -361,6 +354,10 @@ func (p *sgmPlan) meets(m float64, T int, eps, logInvDelta float64) bool {
 // of 1 008 cases, all with q ≤ 0.01 and T ≤ 5 (q = 40/9000, T = 1,
 // ε = 1, δ = 1e-5: 1.154 against 1.105). Elsewhere σ is typically
 // severalfold smaller at small q and large T.
+//
+// No σ meets a budget at the accountant's floor, ε ≤ log(1/δ)/511 (the
+// δ term of the largest order, which remains as σ → ∞), and the search
+// then returns +Inf, which callers must refuse.
 func SubsampledGaussianSigma(sensitivity, q float64, p Params, T int) float64 {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("dp: SubsampledGaussianSigma: %v", err))

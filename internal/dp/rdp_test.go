@@ -18,32 +18,6 @@ func TestGaussianRDPShape(t *testing.T) {
 	}
 }
 
-func TestLaplaceRDPLimits(t *testing.T) {
-	// As α → ∞ the Laplace RDP approaches the pure-DP level Δ/b.
-	r := LaplaceRDP(0.5, 1) // pure ε = 2
-	last := r.Eps[len(r.Eps)-1]
-	if math.Abs(last-2) > 0.05 {
-		t.Fatalf("ε(α→∞) = %v, want ≈2", last)
-	}
-	// Monotone non-decreasing in α.
-	for i := 1; i < len(r.Eps); i++ {
-		if r.Eps[i] < r.Eps[i-1]-1e-12 {
-			t.Fatalf("Laplace RDP not monotone at order %v", r.Orders[i])
-		}
-	}
-	// At α = 2 the closed form from Mironov Table II.
-	t2 := 2.0
-	a := 2.0
-	want := math.Log(a/(2*a-1)*math.Exp((a-1)*t2)+(a-1)/(2*a-1)*math.Exp(-a*t2)) / (a - 1)
-	for i, ord := range r.Orders {
-		if ord == 2 {
-			if math.Abs(r.Eps[i]-want) > 1e-12 {
-				t.Fatalf("ε(2) = %v, want %v", r.Eps[i], want)
-			}
-		}
-	}
-}
-
 func TestComposeSelfCompose(t *testing.T) {
 	g := GaussianRDP(1, 1)
 	both := g.Compose(g)
@@ -180,6 +154,34 @@ func TestSubsampledGaussianSigmaBeatsAmplifiedComposition(t *testing.T) {
 	}
 }
 
+// TestSubsampledGaussianSigmaCertifiedOrInf: the search returns a σ
+// its own accountant certifies, or +Inf. Below the accountant's floor
+// (ε ≤ log(1/δ)/511) no σ passes; at sensitivities near either end of
+// the float range the bracket's geometric midpoint must neither
+// underflow to σ = 0 nor overflow, and σ/Δ must match the Δ = 1 search.
+func TestSubsampledGaussianSigmaCertifiedOrInf(t *testing.T) {
+	floor := Params{Eps: 0.01, Delta: 1e-5} // log(1e5)/511 = 0.0225
+	if s := SubsampledGaussianSigma(1, 0.02, floor, 200); !math.IsInf(s, 1) {
+		t.Errorf("below the floor: σ = %v, want +Inf (it certifies ε = %v)", s,
+			SampledGaussianRDP(s, 0.02).SelfCompose(200).ToDP(floor.Delta))
+	}
+	p := Params{Eps: 1, Delta: 1e-5}
+	unit := SubsampledGaussianSigma(1, 0.02, p, 200)
+	for _, sens := range []float64{1e-300, 1e-200, 1e200, 1e300} {
+		s := SubsampledGaussianSigma(sens, 0.02, p, 200)
+		if !(s > 0) || math.IsInf(s, 0) {
+			t.Errorf("Δ=%g: σ = %v, want finite and positive", sens, s)
+			continue
+		}
+		if eps := SampledGaussianRDP(s/sens, 0.02).SelfCompose(200).ToDP(p.Delta); eps > p.Eps {
+			t.Errorf("Δ=%g: σ = %v certifies only ε = %v", sens, s, eps)
+		}
+		if r := s / sens / unit; math.Abs(r-1) > 1e-9 {
+			t.Errorf("Δ=%g: σ/Δ = %v, want the Δ=1 σ %v", sens, s/sens, unit)
+		}
+	}
+}
+
 // composeSigma is core's "compose" DPSGD calibration: the per-step
 // advanced-composition budget, de-amplified through the subsampling
 // lemma and Gaussian-calibrated.
@@ -276,15 +278,14 @@ func TestSubsampledGaussianSigmaProperties(t *testing.T) {
 
 func TestRDPPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"gauss-sigma":   func() { GaussianRDP(0, 1) },
-		"laplace-scale": func() { LaplaceRDP(0, 1) },
-		"self-k":        func() { GaussianRDP(1, 1).SelfCompose(0) },
-		"todp-delta":    func() { GaussianRDP(1, 1).ToDP(0) },
-		"amp-q":         func() { AmplifyBySubsampling(Params{Eps: 1, Delta: 1e-5}, 0) },
-		"sgm-m":         func() { SampledGaussianRDP(0, 0.5) },
-		"sgm-q":         func() { SampledGaussianRDP(1, 0) },
-		"subsigma-q":    func() { SubsampledGaussianSigma(1, 1.5, Params{Eps: 1, Delta: 1e-5}, 10) },
-		"subsigma-T":    func() { SubsampledGaussianSigma(1, 0.1, Params{Eps: 1, Delta: 1e-5}, 0) },
+		"gauss-sigma": func() { GaussianRDP(0, 1) },
+		"self-k":      func() { GaussianRDP(1, 1).SelfCompose(0) },
+		"todp-delta":  func() { GaussianRDP(1, 1).ToDP(0) },
+		"amp-q":       func() { AmplifyBySubsampling(Params{Eps: 1, Delta: 1e-5}, 0) },
+		"sgm-m":       func() { SampledGaussianRDP(0, 0.5) },
+		"sgm-q":       func() { SampledGaussianRDP(1, 0) },
+		"subsigma-q":  func() { SubsampledGaussianSigma(1, 1.5, Params{Eps: 1, Delta: 1e-5}, 10) },
+		"subsigma-T":  func() { SubsampledGaussianSigma(1, 0.1, Params{Eps: 1, Delta: 1e-5}, 0) },
 		"grid-mismatch": func() {
 			a := GaussianRDP(1, 1)
 			b := RDP{Orders: []float64{2}, Eps: []float64{1}}

@@ -80,17 +80,19 @@ func TestAuditGaussianWithDelta(t *testing.T) {
 }
 
 func TestAuditExponentialMechanism(t *testing.T) {
-	// The exponential mechanism over 4 candidates with score sensitivity
-	// 1 at ε=1: audit the selected index as the scalar output.
+	// The Frank–Wolfe oracle's exponential mechanism over the 4 vertices
+	// of a radius-1 ℓ1 ball in 2 dimensions (scores −g₀, −g₁, g₀, g₁),
+	// with score sensitivity 1 at ε=1: audit the selected index as the
+	// scalar output.
 	r := randx.New(4)
-	scoresD := []float64{0, 1, 2, 3}
-	scoresD2 := []float64{1, 0, 3, 2} // neighbour shifting each score by ≤1
+	gD := []float64{0, 1}
+	gD2 := []float64{1, 0} // neighbour moving each score by ≤ 1
 	m := func(neighbour bool) float64 {
-		s := scoresD
+		g := gD
 		if neighbour {
-			s = scoresD2
+			g = gD2
 		}
-		return float64(dp.Exponential(r, s, 1, 1))
+		return float64(dp.ExponentialL1Ball(r, g, 1, 1, 1))
 	}
 	a := Run(m, 1, 0, Options{Trials: 150000, Bins: 4})
 	if !a.Passed {
@@ -167,7 +169,10 @@ func TestRunVectorPostprocessing(t *testing.T) {
 		if neighbour {
 			q[2] = 1 // ℓ1 distance 1 between neighbours
 		}
-		return dp.LaplaceMechanism(r, q, 1, eps)
+		for i := range q {
+			q[i] += r.Laplace(1 / eps)
+		}
+		return q
 	}
 	stat := func(v []float64) float64 { return v[2] - 0.3*v[0] }
 	a := RunVector(m, stat, eps, 0, Options{Trials: 120000})
@@ -211,7 +216,13 @@ func TestAuditNoisyMax(t *testing.T) {
 		if neighbour {
 			q = qD2
 		}
-		return float64(dp.NoisyMax(r, q, 1, 1))
+		best, bi := math.Inf(-1), 0
+		for i, v := range q {
+			if v += r.Laplace(2); v > best {
+				best, bi = v, i
+			}
+		}
+		return float64(bi)
 	}
 	a := Run(m, 1, 0, Options{Trials: 150000, Bins: 3})
 	if !a.Passed {

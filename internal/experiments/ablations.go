@@ -54,7 +54,7 @@ func splitVsFullAblation() Spec {
 			p := Panel{Figure: "abl-split-vs-full", Name: "a",
 				XLabel: "eps", YLabel: "excess risk",
 				Title: fmt.Sprintf("split (ε-DP) vs full-data ((ε,δ)-DP), n=%d, d=%d", n, d)}
-			addSeries(&p, &err, cfg, "split(alg1)", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "split(alg1)", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
@@ -62,7 +62,7 @@ func splitVsFullAblation() Spec {
 				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
-			addSeries(&p, &err, cfg, "full-data", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "full-data", epsGrid, 1, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.FullDataFWSource(data.NewMemSource(ds), core.FullDataFWOptions{
 					Loss: loss.Squared{}, Domain: dom, Eps: eps, Delta: deltaFor(n), Rng: r.Split(),
@@ -108,7 +108,7 @@ func estimatorAblation() Spec {
 			p := Panel{Figure: "abl-estimators", Name: "a",
 				XLabel: "eps", YLabel: "excess risk",
 				Title: fmt.Sprintf("gradient privatization strategies, n=%d, d=%d", n, d)}
-			addSeries(&p, &err, cfg, "alg1-robust-fw", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg1-robust-fw", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
@@ -116,7 +116,7 @@ func estimatorAblation() Spec {
 				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
-			addSeries(&p, &err, cfg, "clip-fw[50]", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "clip-fw[50]", epsGrid, 1, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.TalwarDPFWSource(data.NewMemSource(ds), core.TalwarFWOptions{
 					Loss: loss.Squared{}, Domain: dom, Eps: eps, Delta: deltaFor(n),
@@ -127,7 +127,7 @@ func estimatorAblation() Spec {
 				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
-			addSeries(&p, &err, cfg, "dp-gd[1]", epsGrid, 2, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "dp-gd[1]", epsGrid, 2, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.DPGDSource(data.NewMemSource(ds), core.DPGDOptions{
 					Loss: loss.Squared{}, Eps: eps, Delta: deltaFor(n),
@@ -138,7 +138,7 @@ func estimatorAblation() Spec {
 				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
-			addSeries(&p, &err, cfg, "robust-gauss[57]", epsGrid, 3, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "robust-gauss[57]", epsGrid, 3, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.RobustGaussianGDSource(data.NewMemSource(ds), core.RobustGaussianGDOptions{
 					Loss: loss.Squared{}, Eps: eps, Delta: deltaFor(n),
@@ -182,7 +182,7 @@ func alg1VsAlg2Ablation() Spec {
 			p := Panel{Figure: "abl-alg1-vs-alg2", Name: "a",
 				XLabel: "eps", YLabel: "excess risk",
 				Title: fmt.Sprintf("theory-better vs practice-better, n=%d, d=%d", n, d)}
-			addSeries(&p, &err, cfg, "alg1", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg1", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.FrankWolfeSource(data.NewMemSource(ds), core.FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: r.Split()})
 				if err != nil {
@@ -190,7 +190,7 @@ func alg1VsAlg2Ablation() Spec {
 				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
-			addSeries(&p, &err, cfg, "alg2", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg2", epsGrid, 1, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{Eps: eps, Delta: deltaFor(n), Rng: r.Split()})
 				if err != nil {
@@ -234,7 +234,7 @@ func shrinkKAblation() Spec {
 			p := Panel{Figure: "abl-shrink-k", Name: "a",
 				XLabel: "K", YLabel: "excess risk",
 				Title: fmt.Sprintf("K sweep around theory default %.3g (ε=1, n=%d, d=%d)", kStar, n, d)}
-			addSeries(&p, &err, cfg, "alg2", xs, 0, func(_ *trialCtx, r *randx.RNG, k float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg2", xs, 0, func(r *randx.RNG, k float64) (float64, error) {
 				ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise})
 				w, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{
 					Eps: 1, Delta: deltaFor(n), K: k, T: T, Rng: r.Split(),
@@ -280,7 +280,7 @@ func selectionAblation() Spec {
 			p := Panel{Figure: "abl-selection", Name: "a",
 				XLabel: "eps", YLabel: "‖ŵ−w*‖²",
 				Title: fmt.Sprintf("private vs exact IHT, n=%d, d=%d, s*=%d", n, d, sStar)}
-			addSeries(&p, &err, cfg, "alg3", epsGrid, 0, func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg3", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
 				ds := gen(r)
 				w, err := core.SparseLinRegSource(data.NewMemSource(ds), core.SparseLinRegOptions{
 					Eps: eps, Delta: deltaFor(n), SStar: sStar, S: sStar + 2,
@@ -291,7 +291,7 @@ func selectionAblation() Spec {
 				}
 				return estErr(w, ds.WStar), nil
 			})
-			addSeries(&p, &err, cfg, "exact-iht", epsGrid, 1, func(_ *trialCtx, r *randx.RNG, _ float64) (float64, error) {
+			addSeries(&p, &err, cfg, "exact-iht", epsGrid, 1, func(r *randx.RNG, _ float64) (float64, error) {
 				ds := gen(r)
 				w := core.NonprivateIHT(ds, 2*sStar, 30, 0.15)
 				return estErr(w, ds.WStar), nil
@@ -329,7 +329,7 @@ func lowerBoundCheck() Spec {
 			p := Panel{Figure: "lowerbound", Name: "a",
 				XLabel: "n", YLabel: "E‖ŵ−µ‖²",
 				Title: fmt.Sprintf("measured error vs Theorem-9 floor (d=%d, s*=%d, ε=1)", d, sStar)}
-			addSeries(&p, &err, cfg, "alg5-measured", ns, 0, func(_ *trialCtx, r *randx.RNG, nf float64) (float64, error) {
+			addSeries(&p, &err, cfg, "alg5-measured", ns, 0, func(r *randx.RNG, nf float64) (float64, error) {
 				n := int(nf)
 				mu := vecmath.Scale(data.SparseWStar(r, d, sStar), 0.5)
 				x := vecmath.NewMat(n, d)

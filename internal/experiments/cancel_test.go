@@ -21,7 +21,7 @@ func TestSweepCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trials atomic.Int64
-	f := func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
+	f := func(_ *randx.RNG, x float64) (float64, error) {
 		if trials.Add(1) == 2 {
 			cancel(cause) // cancel from inside the sweep, mid-flight
 		}
@@ -52,7 +52,7 @@ func TestSweepPreCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := false
-	_, err = sweep(cfg, "s", []float64{1}, 0, func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
+	_, err = sweep(cfg, "s", []float64{1}, 0, func(_ *randx.RNG, x float64) (float64, error) {
 		ran = true
 		return x, nil
 	})

@@ -57,8 +57,8 @@ func dpsgdSpec() Spec {
 				}
 				return loss.ExcessRiskSource(loss.Squared{}, w, ref, src, 0)
 			}
-			trial := func(tc *trialCtx, r *randx.RNG, eps float64, batch int, acct string) (float64, error) {
-				src, err := tc.openSource(open, r.Int63())
+			trial := func(r *randx.RNG, eps float64, batch int, acct string) (float64, error) {
+				src, err := cfg.openSource(open, r.Int63())
 				if err != nil {
 					return 0, err
 				}
@@ -84,8 +84,8 @@ func dpsgdSpec() Spec {
 				Title: fmt.Sprintf("minibatch ablation at eps=1 via %s, default n=%d, d=%d", backend, n, d)}
 			for si, acct := range []string{core.AccountantCompose, core.AccountantRDP} {
 				acct := acct
-				addSeries(&pa, &err, cfg, "dpsgd-"+acct, batchGrid, int64(si), func(tc *trialCtx, r *randx.RNG, b float64) (float64, error) {
-					return trial(tc, r, 1, int(b), acct)
+				addSeries(&pa, &err, cfg, "dpsgd-"+acct, batchGrid, int64(si), func(r *randx.RNG, b float64) (float64, error) {
+					return trial(r, 1, int(b), acct)
 				})
 			}
 			pb := Panel{Figure: "dpsgd", Name: "b",
@@ -93,8 +93,8 @@ func dpsgdSpec() Spec {
 				Title: fmt.Sprintf("amplification accounting at batch n/50 via %s, default n=%d, d=%d", backend, n, d)}
 			for si, acct := range []string{core.AccountantCompose, core.AccountantRDP} {
 				acct := acct
-				addSeries(&pb, &err, cfg, "dpsgd-"+acct, epsGrid, int64(2+si), func(tc *trialCtx, r *randx.RNG, eps float64) (float64, error) {
-					return trial(tc, r, eps, 0, acct) // Batch 0 → the n/50 default
+				addSeries(&pb, &err, cfg, "dpsgd-"+acct, epsGrid, int64(2+si), func(r *randx.RNG, eps float64) (float64, error) {
+					return trial(r, eps, 0, acct) // Batch 0 → the n/50 default
 				})
 			}
 			if err != nil {

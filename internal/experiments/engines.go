@@ -13,9 +13,10 @@ import (
 
 // This file is the sweep engine: the scheduling of a series' (point,
 // rep) trials onto worker goroutines, and nothing else. The worker unit
-// is one rep: its trial walks the full x-grid point by point, sharing
-// one trialCtx — so a seed-invariant data source is read once per
-// (trial, series) and every grid point is served from memory.
+// is one rep: its trial walks the full x-grid point by point. Data
+// residency is not the engine's business: a trial opens its source per
+// point, and a seed-invariant source served by a data.SourcePool is
+// decoded once per process, not once per trial.
 //
 // Every trial's RNG derives from pointSeed — a pure function of
 // (series, point, rep), never of the schedule — so results are
@@ -35,12 +36,10 @@ import (
 // with it. A cancelled sweep, like a failed one, returns no results.
 
 // trialFn runs one trial of one grid point and returns the measured
-// error. The RNG is private to the trial; the trialCtx carries the
-// state a trial shares across its points (today: the materialized rows
-// of a shared source). Trials must not share other state unless it is
-// read-only, and must return failures — the engine additionally
-// converts panics to errors as a barrier of last resort.
-type trialFn func(tc *trialCtx, r *randx.RNG, x float64) (float64, error)
+// error. The RNG is private to the trial. Trials must not share state
+// unless it is read-only, and must return failures — the engine
+// additionally converts panics to errors as a barrier of last resort.
+type trialFn func(r *randx.RNG, x float64) (float64, error)
 
 // pointSeed derives the deterministic RNG stream of one (series, point,
 // rep) trial from the base seed. The derivation is what keeps results
@@ -54,13 +53,13 @@ func pointSeed(seed, seedOff int64, xi, rep int) int64 {
 // goroutine — the fix for the crash class where a trial panic inside a
 // sweep worker could kill the whole process, because every recover
 // (RunSweep's, the serving scheduler's) sat on a different goroutine.
-func safeTrial(f trialFn, tc *trialCtx, r *randx.RNG, x float64) (y float64, err error) {
+func safeTrial(f trialFn, r *randx.RNG, x float64) (y float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("trial panicked: %v", p)
 		}
 	}()
-	return f(tc, r, x)
+	return f(r, x)
 }
 
 // sweepWorkers clamps the trial-level worker count to the number of
@@ -97,11 +96,7 @@ func firstError(errs []error) error {
 
 // sweepBatched schedules one rep per worker unit: the rep's trial walks
 // the whole x-grid sequentially, each point on its own pointSeed
-// stream, all points sharing one trialCtx. With a shared (seed-
-// invariant) source that is one data pass per (rep, series) — the
-// O(panels) → O(1) pass collapse of the batched engine — and with the
-// default per-seed generators it is plain rep-level parallelism with
-// unchanged per-point semantics.
+// stream — rep-level parallelism with per-point semantics.
 func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float64, error) {
 	ctx := cfg.context()
 	results := newResults(len(xs), cfg.Reps)
@@ -114,7 +109,6 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 		go func() {
 			defer wg.Done()
 			for rep := range reps {
-				tc := newTrialCtx(cfg)
 				for xi := range xs {
 					if failed.Load() {
 						break // a failed sweep returns no results; stop early
@@ -123,7 +117,7 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 						failed.Store(true) // cancelled: stop every worker at its next check
 						break
 					}
-					y, err := safeTrial(f, tc, randx.New(pointSeed(cfg.Seed, seedOff, xi, rep)), xs[xi])
+					y, err := safeTrial(f, randx.New(pointSeed(cfg.Seed, seedOff, xi, rep)), xs[xi])
 					if err != nil {
 						errs[rep] = fmt.Errorf("x=%v rep %d: %w", xs[xi], rep, err)
 						failed.Store(true)
@@ -148,62 +142,15 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 	return results, nil
 }
 
-// trialCtx is the per-trial shared state of the engine: one instance
-// spans all grid points of one rep. Its only current cargo is the
-// materialized row block of a shared source.
-type trialCtx struct {
-	cfg    Config
-	shared *data.Dataset // rows of the shared source, nil until first openSource
-}
-
-func newTrialCtx(cfg Config) *trialCtx { return &trialCtx{cfg: cfg} }
-
-// openSource opens the trial's data source for one grid point. With a
-// seed-invariant factory (Config.SharedSource) the first point
-// materializes the rows — one pass over the data — and every point,
-// including the first, receives an in-memory view; chunk contents are
-// bit-identical to the factory's own source by the data.Source
-// contract. Otherwise each call opens a fresh source from the factory
-// with the given seed. The caller owns the returned source and must
-// Close it (views close as no-ops; the materialized block belongs to
-// the trialCtx).
-//
-// Every returned source is wrapped with the sweep's context (a no-op
-// wrapper when Config.Ctx is nil), so a long trial observes
+// openSource opens a trial's data source for one grid point from the
+// factory with the given seed and wraps it with the sweep's context (a
+// no-op wrapper when Config.Ctx is nil), so a long trial observes
 // cancellation at every chunk read — within a point, not only between
-// points.
-func (tc *trialCtx) openSource(open func(seed int64) (data.Source, error), seed int64) (data.Source, error) {
-	ctx := tc.cfg.Ctx
-	if !tc.cfg.SharedSource || tc.cfg.Source == nil {
-		src, err := open(seed)
-		if err != nil {
-			return nil, err
-		}
-		return data.WithContext(ctx, src), nil
+// points. The caller owns the returned source and must Close it.
+func (c Config) openSource(open func(seed int64) (data.Source, error), seed int64) (data.Source, error) {
+	src, err := open(seed)
+	if err != nil {
+		return nil, err
 	}
-	if tc.shared == nil {
-		src, err := open(seed)
-		if err != nil {
-			return nil, err
-		}
-		if int64(src.N())*int64(src.D()+1)*8 > data.MaxResidentBytes {
-			// Too large to hold; stream this point directly. Beyond the
-			// bound the trial re-reads the source per point — slower,
-			// never different: the shared source is seed-invariant.
-			return data.WithContext(ctx, src), nil
-		}
-		ds, err := data.Materialize(data.WithContext(ctx, src))
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		// Clone: a backend may serve Materialize from a cache slot it
-		// owns; the trialCtx needs rows that outlive the source.
-		tc.shared = ds.Clone()
-		if err := src.Close(); err != nil {
-			tc.shared = nil
-			return nil, err
-		}
-	}
-	return data.WithContext(ctx, data.NewMemSource(tc.shared)), nil
+	return data.WithContext(c.Ctx, src), nil
 }

@@ -18,7 +18,7 @@ func TestSweepTrialError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("no such file")
-	f := func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
+	f := func(_ *randx.RNG, x float64) (float64, error) {
 		if x == 2 {
 			return 0, boom
 		}
@@ -46,7 +46,7 @@ func TestSweepTrialPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(_ *trialCtx, _ *randx.RNG, x float64) (float64, error) {
+	f := func(_ *randx.RNG, x float64) (float64, error) {
 		if x > 1 {
 			panic("trial gone wrong")
 		}
@@ -77,50 +77,5 @@ func TestRunSweepTrialError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
-	}
-}
-
-// hugeSource pretends to hold more rows than data.MaxResidentBytes allows
-// resident, without allocating them.
-type hugeSource struct {
-	data.Source
-}
-
-func (hugeSource) N() int { return 1 << 30 }
-
-// TestOpenSourceByteCap: a shared source too large to materialize falls
-// back to direct streaming — the caller gets the factory's own source
-// back and owns closing it.
-func TestOpenSourceByteCap(t *testing.T) {
-	cfg, err := Config{Scale: 0.1, SharedSource: true}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := data.LinearSource(1, data.LinearOpt{
-		N: 10, D: 4,
-		Feature: randx.Normal{Mu: 0, Sigma: 1},
-		Noise:   randx.Normal{Mu: 0, Sigma: 1},
-	})
-	opens := 0
-	cfg.Source = func(int64) (data.Source, error) {
-		opens++
-		return hugeSource{base.Clone()}, nil
-	}
-	tc := newTrialCtx(cfg)
-	for i := 0; i < 3; i++ {
-		src, err := tc.openSource(cfg.Source, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := src.(hugeSource); !ok {
-			t.Fatalf("open %d: expected the raw source back, got %T", i, src)
-		}
-		src.Close()
-	}
-	if opens != 3 {
-		t.Fatalf("factory called %d times, want 3 (no sharing above the byte cap)", opens)
-	}
-	if tc.shared != nil {
-		t.Fatal("trialCtx materialized a source above the byte cap")
 	}
 }

@@ -76,7 +76,7 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 				Title: fmt.Sprintf("error vs ε, n=%d", n0)}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(r *randx.RNG, eps float64) (float64, error) {
 					return trial(r, n0, d, eps)
 				})
 			}
@@ -93,7 +93,7 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 				Title: "error vs n, ε=1"}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(r *randx.RNG, n float64) (float64, error) {
 					return trial(r, int(n), d, 1)
 				})
 			}
@@ -104,10 +104,10 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 			// (c) private vs non-private, ε=1, d=400.
 			pc := Panel{Figure: id, Name: "c", XLabel: "n", YLabel: "excess risk",
 				Title: "private (ε=1) vs non-private, d=400"}
-			addSeries(&pc, &err, cfg, "private", ns, 200, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+			addSeries(&pc, &err, cfg, "private", ns, 200, func(r *randx.RNG, n float64) (float64, error) {
 				return trial(r, int(n), 400, 1)
 			})
-			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(r *randx.RNG, n float64) (float64, error) {
 				ds := genPolytopeData(r, int(n), 400, feature, noise, logistic)
 				w := core.NonprivateFW(ds, l, polytope.NewL1Ball(400, 1), 150, nil)
 				return loss.ExcessRisk(l, w, reference(ds), ds.X, ds.Y), nil
@@ -149,7 +149,7 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 				Title: fmt.Sprintf("error vs ε, n=%d", n0)}
 			for si, d := range dims {
 				d := d
-				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(r *randx.RNG, eps float64) (float64, error) {
 					return trial(r, n0, d, eps)
 				})
 			}
@@ -165,7 +165,7 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 				Title: "error vs n, ε=1"}
 			for si, d := range dims {
 				d := d
-				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(r *randx.RNG, n float64) (float64, error) {
 					return trial(r, int(n), d, 1)
 				})
 			}
@@ -175,10 +175,10 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 			cfg.panelDone(2, 3, pb)
 			pc := Panel{Figure: id, Name: "c", XLabel: "n", YLabel: "excess risk",
 				Title: "private (ε=1) vs non-private, d=200"}
-			addSeries(&pc, &err, cfg, "private", ns, 200, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+			addSeries(&pc, &err, cfg, "private", ns, 200, func(r *randx.RNG, n float64) (float64, error) {
 				return trial(r, int(n), 200, 1)
 			})
-			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(r *randx.RNG, n float64) (float64, error) {
 				ds := data.Linear(r, data.LinearOpt{N: int(n), D: 200, Feature: feature, Noise: noise})
 				w := core.NonprivateFW(ds, loss.Squared{}, polytope.NewL1Ball(200, 1), 100, nil)
 				return excessVsWStar(loss.Squared{}, w, ds), nil
@@ -233,7 +233,7 @@ func ihtFigure(id, desc string, noise randx.Dist, paperN int) Spec {
 				Title: fmt.Sprintf("error vs ε, n=%d, s*=20", n0)}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(r *randx.RNG, eps float64) (float64, error) {
 					return trial(r, n0, d, 20, eps)
 				})
 			}
@@ -249,7 +249,7 @@ func ihtFigure(id, desc string, noise randx.Dist, paperN int) Spec {
 				Title: "error vs n, ε=1, s*=20"}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(r *randx.RNG, n float64) (float64, error) {
 					return trial(r, int(n), d, 20, 1)
 				})
 			}
@@ -261,7 +261,7 @@ func ihtFigure(id, desc string, noise randx.Dist, paperN int) Spec {
 				Title: fmt.Sprintf("error vs sparsity, ε=1, n=%d", n0)}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pc, &err, cfg, fmt.Sprintf("d=%d", d), sStarGrid, 200+int64(si), func(_ *trialCtx, r *randx.RNG, s float64) (float64, error) {
+				addSeries(&pc, &err, cfg, fmt.Sprintf("d=%d", d), sStarGrid, 200+int64(si), func(r *randx.RNG, s float64) (float64, error) {
 					return trial(r, n0, d, int(s), 1)
 				})
 			}
@@ -302,7 +302,7 @@ func sparseOptFigure(id, desc string, feature, noise randx.Dist, paperN int) Spe
 				Title: fmt.Sprintf("error vs ε, n=%d, s*=20", n0)}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+				addSeries(&pa, &err, cfg, fmt.Sprintf("d=%d", d), epsGrid, int64(si), func(r *randx.RNG, eps float64) (float64, error) {
 					return trial(r, n0, d, 20, eps)
 				})
 			}
@@ -318,7 +318,7 @@ func sparseOptFigure(id, desc string, feature, noise randx.Dist, paperN int) Spe
 				Title: "error vs n, ε=1, s*=20"}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
+				addSeries(&pb, &err, cfg, fmt.Sprintf("d=%d", d), ns, 100+int64(si), func(r *randx.RNG, n float64) (float64, error) {
 					return trial(r, int(n), d, 20, 1)
 				})
 			}
@@ -330,7 +330,7 @@ func sparseOptFigure(id, desc string, feature, noise randx.Dist, paperN int) Spe
 				Title: fmt.Sprintf("error vs sparsity, ε=1, n=%d", n0)}
 			for si, d := range dimGrid {
 				d := d
-				addSeries(&pc, &err, cfg, fmt.Sprintf("d=%d", d), sStarGrid, 200+int64(si), func(_ *trialCtx, r *randx.RNG, s float64) (float64, error) {
+				addSeries(&pc, &err, cfg, fmt.Sprintf("d=%d", d), sStarGrid, 200+int64(si), func(r *randx.RNG, s float64) (float64, error) {
 					return trial(r, n0, d, int(s), 1)
 				})
 			}
@@ -378,7 +378,7 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 				var serr error
 				for si, frac := range []float64{0.25, 0.5, 1.0} {
 					frac := frac
-					addSeries(&p, &serr, cfg, fmt.Sprintf("n=%.0f%%", frac*100), epsGrid, int64(pi*10+si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
+					addSeries(&p, &serr, cfg, fmt.Sprintf("n=%.0f%%", frac*100), epsGrid, int64(pi*10+si), func(r *randx.RNG, eps float64) (float64, error) {
 						sub := ds.Subset(0, int(frac*float64(ds.N())))
 						w, err := core.FrankWolfeSource(data.NewMemSource(sub), core.FWOptions{
 							Loss: l, Domain: dom, Eps: eps, Rng: r,

@@ -47,22 +47,14 @@ type Config struct {
 	// their own Parallelism knob (default: all cores).
 	Parallelism int
 	// Source, when non-nil, supplies the source-streaming experiments
-	// ("streaming") with an out-of-core data source in place of their
-	// default on-demand generator; cmd/htdp's -stream flag wires a CSV
-	// file here. The factory is called with a trial-derived seed and the
-	// returned source is closed before the trial ends. Experiments that
-	// materialize data in memory ignore it.
+	// ("streaming", "dpsgd") with a data source in place of their
+	// default on-demand generator; cmd/htdp's -stream flag and the
+	// serving layer's pooled datasets wire a data.SourcePool here. The
+	// factory is called once per (point, rep) trial with a trial-derived
+	// seed, and the returned source is closed before the trial ends; a
+	// pooled factory hands out views over rows it decoded once.
+	// Experiments that materialize data in memory ignore it.
 	Source func(seed int64) (data.Source, error)
-	// SharedSource declares that Source is seed-invariant: every call
-	// returns a source over the same rows regardless of the seed (pooled
-	// CSVs, reopened files — anything that is not a per-seed generator).
-	// A batched trial then reads the data once and serves every grid
-	// point of its x-sweep from memory instead of re-reading per point.
-	// Results are bit-identical either way — the flag trades memory for
-	// data passes, nothing else. cmd/htdp's -stream and the serving
-	// layer's pooled datasets set it; leave it false for factories whose
-	// rows depend on the seed.
-	SharedSource bool
 	// Progress, when non-nil, is called after each panel of the sweep
 	// completes, from the goroutine running the sweep. It is pure
 	// observability: results are bit-identical with or without it.
@@ -267,11 +259,10 @@ func (q SweepRequest) Canonical() (SweepRequest, error) {
 
 // Config converts the request into a sweep Config, attaching the
 // optional per-trial source factory (nil for the default generators).
-// A non-nil factory is treated as seed-invariant — see RunSweep.
 func (q SweepRequest) Config(src func(seed int64) (data.Source, error)) Config {
 	return Config{
 		Reps: q.Reps, Scale: q.Scale, Seed: q.Seed, Parallelism: q.Parallelism,
-		Source: src, SharedSource: src != nil,
+		Source: src,
 	}
 }
 
@@ -288,13 +279,10 @@ func (q SweepRequest) Config(src func(seed int64) (data.Source, error)) Config {
 // output — a sweep that runs to completion is bit-identical under any
 // context, including context.Background().
 //
-// src, when non-nil, feeds the source-streaming experiments and must be
-// seed-invariant: every call returns a source over the same rows
-// (pooled datasets and reopened CSVs are; per-seed generators are not —
-// wire those through Config.Source directly with SharedSource left
-// false). The engine exploits the invariance by reading the data once
-// per trial instead of once per (trial, point); results are
-// bit-identical either way.
+// src, when non-nil, feeds the source-streaming experiments in place of
+// their generators (see Config.Source); it is called once per (point,
+// rep) trial. Pooled datasets pass the pool's Acquire, so the rows are
+// decoded once per process and every trial reads a view over them.
 //
 // An optional progress callback (at most one) receives one Progress
 // event per completed panel; it observes the sweep without affecting

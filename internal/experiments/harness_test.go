@@ -94,7 +94,7 @@ func TestSweepDeterministicAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(_ *trialCtx, r *randx.RNG, x float64) (float64, error) { return x + r.Normal(), nil }
+	f := func(r *randx.RNG, x float64) (float64, error) { return x + r.Normal(), nil }
 	a := mustSweep(t, cfg, "s", []float64{1, 2, 3}, 5, f)
 	b := mustSweep(t, cfg, "s", []float64{1, 2, 3}, 5, f)
 	for i := range a.Mean {

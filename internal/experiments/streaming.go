@@ -17,9 +17,8 @@ import (
 // streaming evaluators. With the default GenSource backend this is a
 // determinism check against the in-memory figures; with Config.Source
 // pointed at a CSV (cmd/htdp -run streaming -stream file.csv) it runs
-// the same protocol on real out-of-core data — and with SharedSource
-// set, each trial reads that data once for the whole ε-grid instead of
-// once per point (see DESIGN.md, "Batched sweeps").
+// the same protocol on real data, which a data.SourcePool decodes once
+// per process (see DESIGN.md, "Batched sweeps").
 
 func init() {
 	register(streamingSpec())
@@ -60,8 +59,8 @@ func streamingSpec() Spec {
 				}
 				return loss.ExcessRiskSource(loss.Squared{}, w, ref, src, 0)
 			}
-			trial := func(tc *trialCtx, r *randx.RNG, run func(src data.Source, rng *randx.RNG) ([]float64, error)) (float64, error) {
-				src, err := tc.openSource(open, r.Int63())
+			trial := func(r *randx.RNG, run func(src data.Source, rng *randx.RNG) ([]float64, error)) (float64, error) {
+				src, err := cfg.openSource(open, r.Int63())
 				if err != nil {
 					return 0, err
 				}
@@ -75,16 +74,16 @@ func streamingSpec() Spec {
 			p := Panel{Figure: "streaming", Name: "a",
 				XLabel: "eps", YLabel: "excess risk",
 				Title: fmt.Sprintf("out-of-core chunks via %s, default n=%d, d=%d", backend, n, d)}
-			addSeries(&p, &err, cfg, "dpfw-stream", epsGrid, 0, func(tc *trialCtx, r *randx.RNG, eps float64) (float64, error) {
-				return trial(tc, r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
+			addSeries(&p, &err, cfg, "dpfw-stream", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
+				return trial(r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
 					return core.FrankWolfeSource(src, core.FWOptions{
 						Loss: loss.Squared{}, Domain: polytope.NewL1Ball(src.D(), 1),
 						Eps: eps, Rng: rng,
 					})
 				})
 			})
-			addSeries(&p, &err, cfg, "lasso-stream", epsGrid, 1, func(tc *trialCtx, r *randx.RNG, eps float64) (float64, error) {
-				return trial(tc, r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
+			addSeries(&p, &err, cfg, "lasso-stream", epsGrid, 1, func(r *randx.RNG, eps float64) (float64, error) {
+				return trial(r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
 					return core.LassoSource(src, core.LassoOptions{
 						Eps: eps, Delta: deltaFor(src.N()), Rng: rng,
 					})

@@ -17,26 +17,28 @@ func TestStreamingTiny(t *testing.T) {
 	}
 }
 
+// testRows is the fixed generated dataset behind the factory tests.
+func testRows() *data.GenSource {
+	return data.LinearSource(42, data.LinearOpt{
+		N: 300, D: 10,
+		Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
+		Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
+	})
+}
+
 // countingFactory returns a seed-invariant source factory (the seed is
-// ignored, like a CSV Reopen or a pool Acquire) over a fixed generated
-// dataset, counting opens and closes. The counters are unsynchronized:
-// use Parallelism 1.
+// ignored, like a CSV Reopen or a pool Acquire) over testRows, counting
+// opens and closes. The counters are unsynchronized: use Parallelism 1.
 func countingFactory(opened, closed *int) func(seed int64) (data.Source, error) {
 	return func(int64) (data.Source, error) {
 		*opened++
-		gen := data.LinearSource(42, data.LinearOpt{
-			N: 300, D: 10,
-			Feature: randx.LogNormal{Mu: 0, Sigma: 0.8},
-			Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
-		})
-		return &closeCounter{Source: gen, closed: closed}, nil
+		return &closeCounter{Source: testRows(), closed: closed}, nil
 	}
 }
 
 // TestStreamingConfigSource: a user-supplied factory (the -stream CSV
 // path) must replace the default generator, feed every trial, and have
-// its sources closed. Without SharedSource, every (point, rep) opens
-// its own source, exactly as before batching.
+// its sources closed. Every (point, rep) opens its own source.
 func TestStreamingConfigSource(t *testing.T) {
 	opened, closed := 0, 0
 	cfg := tiny
@@ -62,40 +64,48 @@ func TestStreamingConfigSource(t *testing.T) {
 	}
 }
 
-// TestStreamingSharedSource: with SharedSource set (a seed-invariant
-// factory, as the serving pool and -stream provide), the batched engine
-// opens the source once per (rep, series) — the whole ε-grid rides one
-// data pass — and the panel is unchanged.
+// TestStreamingSharedSource: a seed-invariant factory served by a
+// data.SourcePool — what the serving layer and cmd/htdp -run -stream
+// pass — decodes the rows once, hands every (point, rep) trial its own
+// view, and yields the panel bytes of the same rows streamed from their
+// generator per trial.
 func TestStreamingSharedSource(t *testing.T) {
-	openedShared, closedShared := 0, 0
-	shared := tiny
-	shared.Parallelism = 1
-	shared.Source = countingFactory(&openedShared, &closedShared)
-	shared.SharedSource = true
-	spec, _ := Lookup("streaming")
-	sharedPanels := mustRun(t, spec, shared)
-	checkPanels(t, "streaming", sharedPanels, 1)
-	want := 2 * shared.Reps // 2 series × Reps passes, grid-width independent
-	if openedShared != want {
-		t.Fatalf("shared factory called %d times, want %d", openedShared, want)
+	pool := data.NewSourcePool()
+	defer pool.Close()
+	if _, err := pool.RegisterGen("rows", testRows()); err != nil {
+		t.Fatal(err)
 	}
-	if closedShared != openedShared {
-		t.Fatalf("closed %d of %d shared sources", closedShared, openedShared)
+	opened, closed := 0, 0
+	pooled := tiny
+	pooled.Parallelism = 1
+	pooled.Source = func(int64) (data.Source, error) {
+		opened++
+		src, err := pool.Acquire("rows")
+		if err != nil {
+			return nil, err
+		}
+		return &closeCounter{Source: src, closed: &closed}, nil
+	}
+	spec, _ := Lookup("streaming")
+	pooledPanels := mustRun(t, spec, pooled)
+	checkPanels(t, "streaming", pooledPanels, 1)
+	if want := 2 * len(epsGrid) * pooled.Reps; opened != want || closed != opened {
+		t.Fatalf("pooled factory opened %d, closed %d views, want %d each", opened, closed, want)
+	}
+	if got, want := pool.ResidentBytes(), int64(300*(10+1)*8); got != want {
+		t.Fatalf("pool holds %d bytes, want the %d of one decode", got, want)
 	}
 
-	// One pass or many, the panel bytes are identical: sharing only
-	// changes how often the (seed-invariant) data is read.
-	unshared := shared
 	var o2, c2 int
-	unshared.Source = countingFactory(&o2, &c2)
-	unshared.SharedSource = false
-	unsharedPanels := mustRun(t, spec, unshared)
-	for i, p := range sharedPanels {
+	direct := pooled
+	direct.Source = countingFactory(&o2, &c2)
+	directPanels := mustRun(t, spec, direct)
+	for i, p := range pooledPanels {
 		for j, s := range p.Series {
-			u := unsharedPanels[i].Series[j]
+			u := directPanels[i].Series[j]
 			for k := range s.Mean {
 				if s.Mean[k] != u.Mean[k] || s.Std[k] != u.Std[k] {
-					t.Fatalf("shared vs unshared differ at %s[%d]: %v vs %v",
+					t.Fatalf("pooled vs streamed differ at %s[%d]: %v vs %v",
 						s.Name, k, s.Mean[k], u.Mean[k])
 				}
 			}

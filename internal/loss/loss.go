@@ -140,51 +140,6 @@ func (l Biweight) Grad(dst, w, x []float64, y float64) []float64 {
 	return dst
 }
 
-// Huber is the Huber robust-regression loss ρ(⟨x,w⟩−y) with
-//
-//	ρ(s) = s²/2 for |s| ≤ c, c·|s| − c²/2 otherwise.
-//
-// Like the biweight it satisfies Assumption 2 (ψ′ = ρ′ is odd, bounded
-// by c, with ψ″ ≤ 1 and h′(0) > 0 for symmetric noise), so Theorem 3
-// applies; unlike the biweight it is convex.
-type Huber struct{ C float64 }
-
-func (l Huber) Name() string { return fmt.Sprintf("huber(%g)", l.C) }
-
-func (l Huber) rho(s float64) float64 {
-	c := l.C
-	if s > c {
-		return c*s - c*c/2
-	}
-	if s < -c {
-		return -c*s - c*c/2
-	}
-	return s * s / 2
-}
-
-// PsiPrime is the influence function ρ′(s) = clamp(s, ±c).
-func (l Huber) PsiPrime(s float64) float64 {
-	if s > l.C {
-		return l.C
-	}
-	if s < -l.C {
-		return -l.C
-	}
-	return s
-}
-
-func (l Huber) Value(w, x []float64, y float64) float64 {
-	return l.rho(vecmath.Dot(w, x) - y)
-}
-
-func (l Huber) Grad(dst, w, x []float64, y float64) []float64 {
-	c := l.PsiPrime(vecmath.Dot(w, x) - y)
-	for i, xi := range x {
-		dst[i] = c * xi
-	}
-	return dst
-}
-
 // MeanSquared is the mean-estimation loss ℓ(w, x) = ‖x − w‖₂² (labels
 // ignored), whose population risk E‖x − w‖² is minimized at the mean —
 // the instance behind the Theorem 9 lower bound and the sparse
@@ -229,34 +184,6 @@ func Empirical(l Loss, w []float64, x *vecmath.Mat, y []float64) float64 {
 		return p
 	})
 	return s / float64(x.Rows)
-}
-
-// FullGradient writes the empirical-risk gradient
-// (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) into dst (allocated when nil) and returns
-// it, fanning sample shards out across GOMAXPROCS workers. Each shard
-// accumulates per-sample gradients into its own partial with its own
-// scratch buffer; partials merge in shard order, so the gradient is
-// bit-identical for every worker count.
-func FullGradient(l Loss, dst, w []float64, x *vecmath.Mat, y []float64) []float64 {
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("loss: FullGradient rows %d != labels %d", x.Rows, len(y)))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Cols)
-	}
-	if x.Rows == 0 {
-		vecmath.Zero(dst)
-		return dst
-	}
-	parallel.ReduceVec(0, x.Rows, dst, func(acc []float64, _, lo, hi int) {
-		buf := make([]float64, len(acc))
-		for i := lo; i < hi; i++ {
-			l.Grad(buf, w, x.Row(i), y[i])
-			vecmath.Axpy(1, buf, acc)
-		}
-	})
-	vecmath.Scale(dst, 1/float64(x.Rows))
-	return dst
 }
 
 // ExcessRisk returns Empirical(w) − Empirical(ref): the excess empirical

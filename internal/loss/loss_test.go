@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"htdp/internal/parallel"
 	"htdp/internal/randx"
 	"htdp/internal/vecmath"
 )
@@ -55,37 +56,6 @@ func TestSquaredGradient(t *testing.T)     { checkGradient(t, Squared{}, 100, 1e
 func TestLogisticGradient(t *testing.T)    { checkGradient(t, Logistic{}, 100, 1e-5) }
 func TestRegLogisticGradient(t *testing.T) { checkGradient(t, RegLogistic{Lambda: 0.3}, 100, 1e-5) }
 func TestBiweightGradient(t *testing.T)    { checkGradient(t, Biweight{C: 2}, 100, 1e-4) }
-func TestHuberGradient(t *testing.T)       { checkGradient(t, Huber{C: 1.5}, 100, 1e-4) }
-
-func TestHuberShape(t *testing.T) {
-	l := Huber{C: 1}
-	// Quadratic inside, linear outside, continuous at the knot.
-	if got := l.rho(0.5); got != 0.125 {
-		t.Errorf("ρ(0.5) = %v", got)
-	}
-	if got := l.rho(3); got != 2.5 {
-		t.Errorf("ρ(3) = %v, want 3−0.5", got)
-	}
-	if math.Abs(l.rho(1)-l.rho(1+1e-12)) > 1e-9 {
-		t.Error("discontinuity at the knot")
-	}
-	if l.rho(2) != l.rho(-2) {
-		t.Error("ρ not even")
-	}
-	// ψ′ bounded by c, odd, identity inside.
-	for s := -5.0; s <= 5.0; s += 0.01 {
-		p := l.PsiPrime(s)
-		if math.Abs(p) > 1 {
-			t.Fatalf("|ψ′(%v)| = %v > c", s, p)
-		}
-		if math.Abs(p+l.PsiPrime(-s)) > 1e-15 {
-			t.Fatalf("ψ′ not odd at %v", s)
-		}
-		if math.Abs(s) <= 1 && p != s {
-			t.Fatalf("ψ′(%v) = %v inside the window", s, p)
-		}
-	}
-}
 
 func TestMeanSquaredGradient(t *testing.T) {
 	l := MeanSquared{}
@@ -184,6 +154,32 @@ func TestBiweightShape(t *testing.T) {
 	if math.Abs(maxAbs-want) > 1e-3 {
 		t.Errorf("max|ψ′| = %v, want %v", maxAbs, want)
 	}
+}
+
+// FullGradient is the dense reference for FullGradientSourceWS: it
+// writes the empirical-risk gradient (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) into dst
+// (allocated when nil) and returns it, reducing sample shards in shard
+// order on GOMAXPROCS workers.
+func FullGradient(l Loss, dst, w []float64, x *vecmath.Mat, y []float64) []float64 {
+	if x.Rows != len(y) {
+		panic("loss: FullGradient rows != labels")
+	}
+	if dst == nil {
+		dst = make([]float64, x.Cols)
+	}
+	if x.Rows == 0 {
+		vecmath.Zero(dst)
+		return dst
+	}
+	parallel.ReduceVec(0, x.Rows, dst, func(acc []float64, _, lo, hi int) {
+		buf := make([]float64, len(acc))
+		for i := lo; i < hi; i++ {
+			l.Grad(buf, w, x.Row(i), y[i])
+			vecmath.Axpy(1, buf, acc)
+		}
+	})
+	vecmath.Scale(dst, 1/float64(x.Rows))
+	return dst
 }
 
 func TestEmpiricalAndFullGradient(t *testing.T) {

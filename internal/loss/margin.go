@@ -100,9 +100,3 @@ func (l Biweight) GradScale(z, y float64) float64 { return l.PsiPrime(z - y) }
 
 // RegCoeff of the biweight loss is 0.
 func (Biweight) RegCoeff() float64 { return 0 }
-
-// GradScale of the Huber loss: ∇ = ρ′(z − y)·x.
-func (l Huber) GradScale(z, y float64) float64 { return l.PsiPrime(z - y) }
-
-// RegCoeff of the Huber loss is 0.
-func (Huber) RegCoeff() float64 { return 0 }

@@ -14,7 +14,6 @@ var marginLosses = map[string]MarginLoss{
 	"logistic":    Logistic{},
 	"reglogistic": RegLogistic{Lambda: 0.37},
 	"biweight":    Biweight{C: 4.685},
-	"huber":       Huber{C: 1.345},
 }
 
 // TestGradFromMarginBitIdentical: GradScale/RegCoeff through the

@@ -1,8 +1,6 @@
-// Package minimax implements the lower-bound machinery of §5.2: the
-// sparse sign-vector packing of Lemma 11, the (ε, δ)-private Fano-type
-// bound of Lemma 3 (Barber–Duchi), the hard instance family
-// P_v = (1−p)·δ₀ + p·δ_{√(τ/p)·v} used in the proof of Theorem 9, and
-// the resulting Ω(τ·min{s*·log d, log(1/δ)}/(nε)) private minimax rate
+// Package minimax implements the lower bound of §5.2: the size of the
+// sparse sign-vector packing of Lemma 11 and the resulting
+// Ω(τ·min{s*·log d, log(1/δ)}/(nε)) private minimax rate of Theorem 9
 // for sparse heavy-tailed mean estimation. The experiment harness plots
 // this floor under the measured error of Algorithm 5.
 package minimax
@@ -10,24 +8,7 @@ package minimax
 import (
 	"fmt"
 	"math"
-
-	"htdp/internal/randx"
-	"htdp/internal/vecmath"
 )
-
-// HammingDist counts coordinates where a and b differ.
-func HammingDist(a, b []int8) int {
-	if len(a) != len(b) {
-		panic("minimax: HammingDist length mismatch")
-	}
-	n := 0
-	for i := range a {
-		if a[i] != b[i] {
-			n++
-		}
-	}
-	return n
-}
 
 // PackingLogSize returns the Lemma 11 guarantee: there is a subset of
 // s-sparse sign vectors with pairwise Hamming distance ≥ s/2 and
@@ -37,120 +18,6 @@ func PackingLogSize(d, s int) float64 {
 		panic(fmt.Sprintf("minimax: PackingLogSize needs 1 ≤ s < d, got s=%d d=%d", s, d))
 	}
 	return float64(s) / 2 * math.Log(float64(d-s)/(float64(s)/2))
-}
-
-// GreedyPacking builds a packing of s-sparse vectors in {−1,0,1}^d with
-// pairwise Hamming distance ≥ s/2 by rejection sampling, stopping after
-// the target size or maxTries candidates. Lemma 11 guarantees a packing
-// of size exp(PackingLogSize) exists; the greedy construction reliably
-// reaches any modest target used in experiments.
-func GreedyPacking(r *randx.RNG, d, s, target, maxTries int) [][]int8 {
-	if s < 1 || s > d {
-		panic(fmt.Sprintf("minimax: GreedyPacking needs 1 ≤ s ≤ d, got s=%d d=%d", s, d))
-	}
-	var pack [][]int8
-	minDist := s / 2
-	for try := 0; try < maxTries && len(pack) < target; try++ {
-		cand := make([]int8, d)
-		for _, j := range r.Perm(d)[:s] {
-			cand[j] = int8(r.Rademacher())
-		}
-		ok := true
-		for _, p := range pack {
-			if HammingDist(cand, p) < minDist {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			pack = append(pack, cand)
-		}
-	}
-	return pack
-}
-
-// SignVec converts a sign pattern to the normalized parameter
-// v/√(2s) ∈ R^d used in the proof (so ‖v‖₂ ≤ 1 and the packing
-// separation ρ*(V) ≥ √2·√(pτ) carries over).
-func SignVec(z []int8, s int) []float64 {
-	v := make([]float64, len(z))
-	c := 1 / math.Sqrt(2*float64(s))
-	for i, zi := range z {
-		v[i] = float64(zi) * c
-	}
-	return v
-}
-
-// HardInstance is the two-point mixture P_θv = (1−p)·δ₀ + p·δ_{√(τ/p)·v}
-// from the proof of Theorem 9: mean √(pτ)·v, per-coordinate second
-// moment τ·vⱼ² ≤ τ.
-type HardInstance struct {
-	P   float64   // mixture weight p ∈ (0, 1]
-	Tau float64   // moment bound τ
-	V   []float64 // s-sparse direction with ‖v‖₂ ≤ 1
-}
-
-// Mean returns θ_v = √(p·τ)·v.
-func (h HardInstance) Mean() []float64 {
-	return vecmath.Scaled(h.V, math.Sqrt(h.P*h.Tau))
-}
-
-// Sample draws one vector: 0 with probability 1−p, else √(τ/p)·v.
-func (h HardInstance) Sample(r *randx.RNG, dst []float64) []float64 {
-	if r.Float64() >= h.P {
-		return vecmath.Zero(dst)
-	}
-	c := math.Sqrt(h.Tau / h.P)
-	for i, vi := range h.V {
-		dst[i] = c * vi
-	}
-	return dst
-}
-
-// SecondMomentMax returns max_j E[Xⱼ²] = τ·max_j vⱼ², which the class
-// P^{s*}_d(τ) requires to be ≤ τ.
-func (h HardInstance) SecondMomentMax() float64 {
-	var m float64
-	for _, vi := range h.V {
-		if vi*vi > m {
-			m = vi * vi
-		}
-	}
-	return h.Tau * m
-}
-
-// FanoPrivate evaluates the Lemma 3 lower bound
-//
-//	M ≥ Φ(ρ*)·(|V|−1)·(e^{−ε⌈np⌉}/2 − δ·(1−e^{−ε⌈np⌉})/(1−e^{−ε}))
-//	      / (1 + (|V|−1)·e^{−ε⌈np⌉})
-//
-// with Φ(x) = x² and the given packing separation rhoStar, packing size
-// |V| = exp(logV), mixture weight p, sample size n and privacy (ε, δ).
-func FanoPrivate(rhoStar float64, logV float64, p float64, n int, eps, delta float64) float64 {
-	if rhoStar < 0 || p < 0 || p > 1 || n < 1 || eps <= 0 {
-		panic("minimax: FanoPrivate bad arguments")
-	}
-	enp := math.Exp(-eps * math.Ceil(float64(n)*p))
-	num := enp/2 - delta*(1-enp)/(1-math.Exp(-eps))
-	if num <= 0 {
-		return 0
-	}
-	// (|V|−1)·num / (1 + (|V|−1)·enp), computed in logs to survive huge |V|.
-	logVm1 := logV // |V|−1 ≈ |V| for the sizes here; exact below for small V
-	if logV < 30 {
-		logVm1 = math.Log(math.Max(math.Exp(logV)-1, 1e-300))
-	}
-	logNum := logVm1 + math.Log(num)
-	la := logVm1 + math.Log(enp)
-	den := la // log(1+e^la) ≈ la for large la; exact below
-	if la < 30 {
-		den = math.Log1p(math.Exp(la))
-	}
-	frac := math.Exp(logNum - den)
-	if frac > 1 {
-		frac = 1 // probability bound
-	}
-	return rhoStar * rhoStar * frac
 }
 
 // LowerBound returns the Theorem 9 private minimax floor for sparse

@@ -3,21 +3,7 @@ package minimax
 import (
 	"math"
 	"testing"
-
-	"htdp/internal/randx"
-	"htdp/internal/vecmath"
 )
-
-func TestHammingDist(t *testing.T) {
-	a := []int8{1, 0, -1, 1}
-	b := []int8{1, 1, 1, 1}
-	if got := HammingDist(a, b); got != 2 {
-		t.Fatalf("HammingDist = %d", got)
-	}
-	if HammingDist(a, a) != 0 {
-		t.Fatal("self distance non-zero")
-	}
-}
 
 func TestPackingLogSize(t *testing.T) {
 	// Matches the closed form and grows with d at fixed s.
@@ -28,108 +14,6 @@ func TestPackingLogSize(t *testing.T) {
 	}
 	if PackingLogSize(1000, 10) <= got {
 		t.Fatal("packing size not increasing in d")
-	}
-}
-
-func TestGreedyPackingProperties(t *testing.T) {
-	r := randx.New(1)
-	d, s := 60, 8
-	pack := GreedyPacking(r, d, s, 30, 20000)
-	if len(pack) < 20 {
-		t.Fatalf("packing too small: %d", len(pack))
-	}
-	for i, z := range pack {
-		nz := 0
-		for _, v := range z {
-			if v != 0 {
-				nz++
-				if v != 1 && v != -1 {
-					t.Fatalf("entry %v not in {−1,0,1}", v)
-				}
-			}
-		}
-		if nz != s {
-			t.Fatalf("vector %d has sparsity %d", i, nz)
-		}
-		for j := i + 1; j < len(pack); j++ {
-			if HammingDist(z, pack[j]) < s/2 {
-				t.Fatalf("pair (%d,%d) distance %d < s/2=%d", i, j, HammingDist(z, pack[j]), s/2)
-			}
-		}
-	}
-}
-
-func TestSignVecNorm(t *testing.T) {
-	z := []int8{1, -1, 0, 1, 0}
-	v := SignVec(z, 3)
-	// ‖v‖₂² = 3/(2·3) = 1/2 ≤ 1.
-	if got := vecmath.Norm2Sq(v); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("‖v‖² = %v", got)
-	}
-	// Packing separation: two vectors at Hamming distance ≥ s/2 are at
-	// ℓ2 distance ≥ √2·(1/√(2s))·√(s/2)·… ≥ constant; check a pair.
-	z2 := []int8{-1, 1, 0, 1, 0}
-	v2 := SignVec(z2, 3)
-	if vecmath.Dist2(v, v2) <= 0 {
-		t.Fatal("distinct patterns at distance 0")
-	}
-}
-
-func TestHardInstanceMoments(t *testing.T) {
-	r := randx.New(2)
-	z := []int8{1, 0, -1, 0, 0, 1}
-	h := HardInstance{P: 0.3, Tau: 2, V: SignVec(z, 3)}
-	if h.SecondMomentMax() > h.Tau+1e-12 {
-		t.Fatalf("second moment %v exceeds τ", h.SecondMomentMax())
-	}
-	// Empirical mean ≈ √(pτ)·v.
-	want := h.Mean()
-	n := 200000
-	sum := make([]float64, len(z))
-	buf := make([]float64, len(z))
-	for i := 0; i < n; i++ {
-		h.Sample(r, buf)
-		vecmath.Axpy(1, buf, sum)
-	}
-	vecmath.Scale(sum, 1/float64(n))
-	if vecmath.Dist2(sum, want) > 0.02 {
-		t.Fatalf("empirical mean %v vs %v", sum, want)
-	}
-	// Empirical per-coordinate second moment ≤ τ (equality on support).
-	var m2 float64
-	r2 := randx.New(3)
-	for i := 0; i < n; i++ {
-		h.Sample(r2, buf)
-		if v := buf[0] * buf[0]; v > 0 {
-			m2 += v
-		}
-	}
-	m2 /= float64(n)
-	if m2 > h.Tau*1.1 {
-		t.Fatalf("coordinate second moment %v > τ=%v", m2, h.Tau)
-	}
-}
-
-func TestFanoPrivateSanity(t *testing.T) {
-	// Bound is non-negative, at most ρ*², decreasing in δ and in n·p.
-	rho := 0.5
-	logV := 20.0
-	base := FanoPrivate(rho, logV, 0.001, 1000, 1, 1e-6)
-	if base < 0 || base > rho*rho {
-		t.Fatalf("bound %v outside [0, ρ*²]", base)
-	}
-	moreDelta := FanoPrivate(rho, logV, 0.001, 1000, 1, 1e-2)
-	if moreDelta > base+1e-15 {
-		t.Fatalf("bound increased with δ: %v > %v", moreDelta, base)
-	}
-	moreData := FanoPrivate(rho, logV, 0.01, 10000, 1, 1e-6)
-	if moreData > base+1e-15 {
-		t.Fatalf("bound increased with np: %v > %v", moreData, base)
-	}
-	// Huge packing: the fraction saturates near 1 when e^{−εnp}|V| ≫ 1.
-	big := FanoPrivate(rho, 1e6, 1e-9, 10, 0.1, 1e-9)
-	if big < rho*rho*0.4 {
-		t.Fatalf("saturated bound %v too small", big)
 	}
 }
 

@@ -49,9 +49,6 @@ func Workers(p int) int {
 	return p
 }
 
-// Span is a contiguous index block [Lo, Hi).
-type Span struct{ Lo, Hi int }
-
 // NumShards returns the number of shards [0, n) is cut into:
 // ⌈n/shardGrain⌉ capped at MaxShards, and 0 for n ≤ 0. A function of
 // n alone — never of the worker count — which is what fixes the merge
@@ -65,17 +62,6 @@ func NumShards(n int) int {
 		return MaxShards
 	}
 	return k
-}
-
-// Shards partitions [0, n) into NumShards(n) contiguous near-equal
-// spans covering every index exactly once.
-func Shards(n int) []Span {
-	k := NumShards(n)
-	spans := make([]Span, k)
-	for s := 0; s < k; s++ {
-		spans[s] = Span{Lo: s * n / k, Hi: (s + 1) * n / k}
-	}
-	return spans
 }
 
 // run executes body(shard, lo, hi) for every shard of [0, n) on up to

@@ -21,6 +21,21 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// Span is a contiguous index block [Lo, Hi).
+type Span struct{ Lo, Hi int }
+
+// Shards partitions [0, n) into NumShards(n) contiguous near-equal
+// spans covering every index exactly once: the shard structure every
+// kernel must observe, spelled out.
+func Shards(n int) []Span {
+	k := NumShards(n)
+	spans := make([]Span, k)
+	for s := 0; s < k; s++ {
+		spans[s] = Span{Lo: s * n / k, Hi: (s + 1) * n / k}
+	}
+	return spans
+}
+
 func TestShardsCoverDisjointly(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 63, 64, 65, 1000, 1001, 5000} {
 		spans := Shards(n)

@@ -136,87 +136,3 @@ func (s Simplex) Contains(w []float64, tol float64) bool {
 func (s Simplex) Project(w []float64) []float64 {
 	return vecmath.ProjectSimplex(w)
 }
-
-// Explicit is an arbitrary polytope given by an explicit vertex list;
-// useful for tests and for small custom domains.
-type Explicit struct {
-	Label    string
-	Vertices [][]float64
-}
-
-// NewExplicit builds a polytope from the given vertices (not copied).
-func NewExplicit(label string, vertices [][]float64) *Explicit {
-	if len(vertices) == 0 {
-		panic("polytope: Explicit needs at least one vertex")
-	}
-	d := len(vertices[0])
-	for _, v := range vertices {
-		if len(v) != d {
-			panic("polytope: Explicit ragged vertices")
-		}
-	}
-	return &Explicit{Label: label, Vertices: vertices}
-}
-
-func (e *Explicit) Name() string     { return fmt.Sprintf("explicit(%s)", e.Label) }
-func (e *Explicit) Dim() int         { return len(e.Vertices[0]) }
-func (e *Explicit) NumVertices() int { return len(e.Vertices) }
-
-func (e *Explicit) Vertex(i int, dst []float64) []float64 {
-	copy(dst, e.Vertices[i])
-	return dst
-}
-
-func (e *Explicit) VertexScore(i int, g []float64) float64 {
-	return -vecmath.Dot(e.Vertices[i], g)
-}
-
-func (e *Explicit) Diameter1() float64 {
-	var m float64
-	for i := range e.Vertices {
-		for j := i + 1; j < len(e.Vertices); j++ {
-			var s float64
-			for k := range e.Vertices[i] {
-				s += math.Abs(e.Vertices[i][k] - e.Vertices[j][k])
-			}
-			if s > m {
-				m = s
-			}
-		}
-	}
-	return m
-}
-
-// Contains for Explicit tests hull membership only approximately: it
-// checks w against the ℓ1 bounding box of the vertices. Exact membership
-// would need an LP, which none of the algorithms require.
-func (e *Explicit) Contains(w []float64, tol float64) bool {
-	if len(w) != e.Dim() {
-		return false
-	}
-	for k := range w {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range e.Vertices {
-			lo = math.Min(lo, v[k])
-			hi = math.Max(hi, v[k])
-		}
-		if w[k] < lo-tol || w[k] > hi+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Project for Explicit snaps to the nearest vertex (sufficient for the
-// feasibility fallback paths; the paper's algorithms never project onto
-// explicit polytopes).
-func (e *Explicit) Project(w []float64) []float64 {
-	best, bi := math.Inf(1), 0
-	for i, v := range e.Vertices {
-		if d := vecmath.Dist2(w, v); d < best {
-			best, bi = d, i
-		}
-	}
-	copy(w, e.Vertices[bi])
-	return w
-}

@@ -53,38 +53,6 @@ func (d Laplace) PDF(x float64) float64 {
 	return math.Exp(-math.Abs(x-d.Mu)/d.Scale) / (2 * d.Scale)
 }
 
-// Exponential has rate λ (mean 1/λ).
-type Exponential struct{ Rate float64 }
-
-func (d Exponential) Name() string { return fmt.Sprintf("exponential(%g)", d.Rate) }
-func (d Exponential) Sample(r *RNG) float64 {
-	return r.Exponential(d.Rate)
-}
-func (d Exponential) Mean() float64 { return 1 / d.Rate }
-func (d Exponential) Var() float64  { return 1 / (d.Rate * d.Rate) }
-func (d Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return d.Rate * math.Exp(-d.Rate*x)
-}
-
-// Uniform is uniform on (Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-func (d Uniform) Name() string { return fmt.Sprintf("uniform(%g,%g)", d.Lo, d.Hi) }
-func (d Uniform) Sample(r *RNG) float64 {
-	return r.Uniform(d.Lo, d.Hi)
-}
-func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
-func (d Uniform) Var() float64  { w := d.Hi - d.Lo; return w * w / 12 }
-func (d Uniform) PDF(x float64) float64 {
-	if x < d.Lo || x > d.Hi {
-		return 0
-	}
-	return 1 / (d.Hi - d.Lo)
-}
-
 // LogNormal is exp(N(Mu, Sigma²)) — the paper's §6.3 feature law
 // Lognormal(0, 0.6), whose density is exp(−ln²w/(2σ²))/(wσ√(2π)).
 // The paper's second parameter is σ² = 0.6, so Sigma = √0.6 there.
@@ -297,27 +265,6 @@ func (d Shifted) Mean() float64 {
 }
 func (d Shifted) Var() float64          { return d.Base.Var() }
 func (d Shifted) PDF(x float64) float64 { return d.Base.PDF(x - d.shift()) }
-
-// Scaled is Factor·Base: a scale family wrapper (e.g. a Student-t with
-// a chosen spread).
-type Scaled struct {
-	Base   Dist
-	Factor float64
-}
-
-func (d Scaled) Name() string { return fmt.Sprintf("scaled(%s,%g)", d.Base.Name(), d.Factor) }
-func (d Scaled) Sample(r *RNG) float64 {
-	return d.Factor * d.Base.Sample(r)
-}
-func (d Scaled) Mean() float64 { return d.Factor * d.Base.Mean() }
-func (d Scaled) Var() float64  { return d.Factor * d.Factor * d.Base.Var() }
-func (d Scaled) PDF(x float64) float64 {
-	a := math.Abs(d.Factor)
-	if a == 0 {
-		return 0
-	}
-	return d.Base.PDF(x/d.Factor) / a
-}
 
 // Mixture draws from Components[i] with probability Weights[i]. Used by
 // the simulated "real" datasets to mimic column-heterogeneous tails.

@@ -55,8 +55,6 @@ func checkDist(t *testing.T, d Dist, lo, hi float64, n int, meanTol, varTol floa
 
 func TestNormalDist(t *testing.T)   { checkDist(t, Normal{1, 2}, -20, 22, 200000, 0.05, 0.2) }
 func TestLaplaceDist(t *testing.T)  { checkDist(t, Laplace{0, 1.5}, -40, 40, 200000, 0.05, 0.3) }
-func TestExpDist(t *testing.T)      { checkDist(t, Exponential{2}, 0, 20, 200000, 0.01, 0.02) }
-func TestUniformDist(t *testing.T)  { checkDist(t, Uniform{-1, 3}, -1, 3, 200000, 0.02, 0.05) }
 func TestLogisticDist(t *testing.T) { checkDist(t, Logistic{0, 0.5}, -25, 25, 200000, 0.02, 0.05) }
 
 func TestLogNormalDist(t *testing.T) {
@@ -133,22 +131,6 @@ func TestShifted(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	d := Scaled{Base: Normal{Mu: 0, Sigma: 1}, Factor: 3}
-	checkDist(t, d, -30, 30, 200000, 0.05, 0.3)
-	if d.Mean() != 0 || d.Var() != 9 {
-		t.Errorf("moments: mean %v var %v", d.Mean(), d.Var())
-	}
-	// Negative factor flips but keeps |scale|.
-	neg := Scaled{Base: Exponential{Rate: 1}, Factor: -2}
-	r := New(99)
-	for i := 0; i < 100; i++ {
-		if neg.Sample(r) > 0 {
-			t.Fatal("negative factor should flip the support")
-		}
-	}
-}
-
 func TestMixture(t *testing.T) {
 	d := Mixture{
 		Weights:    []float64{0.5, 0.5},
@@ -189,7 +171,7 @@ func TestDigammaTrigamma(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	for _, d := range []Dist{
-		Normal{0, 1}, Laplace{0, 1}, Exponential{1}, Uniform{0, 1},
+		Normal{0, 1}, Laplace{0, 1},
 		LogNormal{0, 1}, StudentT{10}, Logistic{0, 1}, LogLogistic{1},
 		LogGamma{1}, Pareto{1, 2}, Shifted{Base: Normal{0, 1}},
 		Mixture{Weights: []float64{1}, Components: []Dist{Normal{0, 1}}},

@@ -43,8 +43,3 @@ func ExamplePhi() {
 		robust.Phi(0), robust.Phi(1), robust.PhiBound)
 	// Output: φ(0)=0 φ(1)=0.833 saturates at ±0.943
 }
-
-func ExampleShrink() {
-	fmt.Println(robust.Shrink(7.5, 2), robust.Shrink(-0.3, 2))
-	// Output: 2 -0.3
-}

@@ -153,7 +153,7 @@ func TestAddChunkMatchesAdd(t *testing.T) {
 			t.Fatalf("coord %d: AddChunk %v != Add %v", j, ga[j], gb[j])
 		}
 	}
-	if a.Count() != b.Count() {
-		t.Fatalf("counts differ: %d != %d", a.Count(), b.Count())
+	if a.n != b.n {
+		t.Fatalf("counts differ: %d != %d", a.n, b.n)
 	}
 }

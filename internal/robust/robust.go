@@ -2,9 +2,9 @@
 // paper: the Catoni–Giulini soft truncation φ (eq. 2), the analytic
 // smoothed-multiplicative-noise correction Ĉ(a, b) (appendix closed
 // form), the resulting scalar robust mean estimator (eqs. 1–5), its
-// coordinate-wise extension used for gradients, the entry-wise shrinkage
-// x̃ = sign(x)·min(|x|, K) of Algorithms 2–3, and two classical
-// baselines (median-of-means, trimmed mean).
+// coordinate-wise extension used for gradients, and the classical
+// median-of-means baseline. (The entry-wise shrinkage
+// x̃ = sign(x)·min(|x|, K) of Algorithms 2–3 is vecmath.Clip.)
 //
 // The crucial property for privacy is that φ is bounded by 2√2/3, so the
 // estimator's value moves by at most 4√2·s/(3n) when one sample changes:
@@ -240,30 +240,6 @@ func (e MeanEstimator) EstimateVec(dst []float64, rows [][]float64) []float64 {
 	return dst
 }
 
-// Shrink returns sign(x)·min(|x|, k): the entry-wise shrinkage that
-// Algorithms 2 and 3 apply to raw heavy-tailed data before any private
-// computation, giving the loss an ℓ1-Lipschitz constant of O(K²).
-func Shrink(x, k float64) float64 {
-	if k < 0 {
-		panic("robust: Shrink negative threshold")
-	}
-	if x > k {
-		return k
-	}
-	if x < -k {
-		return -k
-	}
-	return x
-}
-
-// ShrinkVec shrinks every entry of v in place and returns v.
-func ShrinkVec(v []float64, k float64) []float64 {
-	for i, x := range v {
-		v[i] = Shrink(x, k)
-	}
-	return v
-}
-
 // MedianOfMeans is the classical robust-mean baseline: split into k
 // blocks, average each, return the median of block means. Requires
 // 1 ≤ k ≤ len(xs).
@@ -288,25 +264,4 @@ func MedianOfMeans(xs []float64, k int) float64 {
 		return means[m]
 	}
 	return (means[m-1] + means[m]) / 2
-}
-
-// TrimmedMean removes the frac·n smallest and largest samples and
-// averages the rest. frac must lie in [0, 0.5).
-func TrimmedMean(xs []float64, frac float64) float64 {
-	if frac < 0 || frac >= 0.5 {
-		panic("robust: TrimmedMean frac outside [0, 0.5)")
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	cut := int(frac * float64(len(c)))
-	kept := c[cut : len(c)-cut]
-	var s float64
-	for _, x := range kept {
-		s += x
-	}
-	return s / float64(len(kept))
 }

@@ -324,27 +324,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestShrink(t *testing.T) {
-	if Shrink(5, 2) != 2 || Shrink(-5, 2) != -2 || Shrink(1, 2) != 1 {
-		t.Error("Shrink wrong")
-	}
-	v := ShrinkVec([]float64{-9, 0, 9}, 3)
-	if v[0] != -3 || v[1] != 0 || v[2] != 3 {
-		t.Errorf("ShrinkVec = %v", v)
-	}
-	f := func(x, kRaw float64) bool {
-		if math.IsNaN(x) {
-			return true
-		}
-		k := math.Abs(math.Mod(kRaw, 1e6))
-		s := Shrink(x, k)
-		return math.Abs(s) <= k && (math.Abs(x) <= k && !math.IsInf(x, 0)) == (s == x)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMedianOfMeans(t *testing.T) {
 	// Exact on deterministic input.
 	xs := []float64{1, 1, 1, 100, 1, 1}
@@ -360,25 +339,6 @@ func TestMedianOfMeans(t *testing.T) {
 		}
 	}()
 	MedianOfMeans([]float64{1}, 2)
-}
-
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 1e9}
-	if got := TrimmedMean(xs, 0.2); got != 2 {
-		t.Errorf("TrimmedMean = %v, want 2", got)
-	}
-	if got := TrimmedMean(xs, 0); got < 1e8 {
-		t.Errorf("untrimmed mean = %v, should include outlier", got)
-	}
-	if TrimmedMean(nil, 0.1) != 0 {
-		t.Error("empty TrimmedMean should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for frac ≥ 0.5")
-		}
-	}()
-	TrimmedMean(xs, 0.5)
 }
 
 func TestMoMRobustOnCauchy(t *testing.T) {

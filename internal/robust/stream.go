@@ -79,9 +79,6 @@ func (s *StreamMean) AddChunk(x *vecmath.Mat, scales []float64, reg float64, w [
 	s.n += m
 }
 
-// Count returns the number of samples added since the last Reset.
-func (s *StreamMean) Count() int { return s.n }
-
 // Finish writes the estimate (1/n)·Σ Term into dst (allocated when
 // nil) and returns it; zero samples yield the zero vector.
 func (s *StreamMean) Finish(dst []float64) []float64 {

@@ -24,8 +24,8 @@ func TestStreamMeanMatchesEstimateFunc(t *testing.T) {
 
 	one := est.NewStream(d)
 	one.Add(n, func(i int, buf []float64) { copy(buf, rows[i]) })
-	if one.Count() != n {
-		t.Fatalf("Count = %d", one.Count())
+	if one.n != n {
+		t.Fatalf("Count = %d", one.n)
 	}
 	got := one.Finish(nil)
 	for j := range want {
@@ -67,8 +67,8 @@ func TestStreamMeanReset(t *testing.T) {
 	s := est.NewStream(2)
 	s.Add(3, func(i int, buf []float64) { buf[0], buf[1] = 1, -1 })
 	s.Reset()
-	if s.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", s.Count())
+	if s.n != 0 {
+		t.Fatalf("Count after Reset = %d", s.n)
 	}
 	out := s.Finish(nil)
 	if out[0] != 0 || out[1] != 0 {

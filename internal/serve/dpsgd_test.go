@@ -93,13 +93,16 @@ func TestRunDPSGDKnobValidation(t *testing.T) {
 
 // TestRunDPSGDUncalibratableBudget pins the 422 for a finite positive
 // ε no noise level can be calibrated to: the run fails with core's
-// error, not a recovered panic, under both accountants.
+// error, not a recovered panic, under both accountants — including an
+// ε below the rdp accountant's floor, which must not be served (and
+// cached) with a σ the accountant itself rejects.
 func TestRunDPSGDUncalibratableBudget(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	for _, body := range []string{
 		`{"dataset":"csv","algo":"dpsgd","eps":1e-20}`,
 		`{"dataset":"csv","algo":"dpsgd","eps":1e-20,"accountant":"rdp"}`,
 		`{"dataset":"csv","algo":"dpsgd","eps":1e300,"accountant":"rdp"}`,
+		`{"dataset":"csv","algo":"dpsgd","eps":0.001,"accountant":"rdp"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {

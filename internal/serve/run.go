@@ -212,16 +212,25 @@ func ExecuteRun(ctx context.Context, src data.Source, q RunRequest) (*RunResult,
 	if err != nil {
 		return nil, err
 	}
+	// JSON has no NaN or ±Inf: a result that overflowed float64 is a
+	// named failure, not an encoder error.
+	if !vecmath.IsFinite(w) {
+		return nil, fmt.Errorf("%s: non-finite estimate (the request's budget, clip or step overflows float64)", q.Algo)
+	}
 	risks, err := loss.EmpiricalSourceMulti(loss.Squared{}, [][]float64{w, make([]float64, d)}, src, par)
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
+	res := &RunResult{
 		Dataset: q.Dataset, Algo: q.Algo, N: n, D: d,
 		Eps: q.Eps, Delta: delta, Seed: q.Seed,
 		Risk: risks[0], RiskZero: risks[1],
 		Norm1: vecmath.Norm1(w), NNZ: vecmath.Norm0(w), W: w,
-	}, nil
+	}
+	if !vecmath.IsFinite([]float64{res.Risk, res.RiskZero, res.Norm1}) {
+		return nil, fmt.Errorf("%s: non-finite risk or norm of the estimate (risk %v, zero-vector risk %v, ℓ1 norm %v)", q.Algo, res.Risk, res.RiskZero, res.Norm1)
+	}
+	return res, nil
 }
 
 // cacheKey derives the deterministic cache key of a canonicalized

@@ -1,7 +1,6 @@
 package vecmath
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,119 +101,5 @@ func TestGram(t *testing.T) {
 	// (1/2)·XᵀX = [[0.5,0],[0,2]]
 	if g.At(0, 0) != 0.5 || g.At(1, 1) != 2 || g.At(0, 1) != 0 {
 		t.Fatalf("Gram = %+v", g)
-	}
-}
-
-func TestSymEigMaxDiagonal(t *testing.T) {
-	a := MatFromRows([][]float64{{3, 0, 0}, {0, 7, 0}, {0, 0, 1}})
-	lam, v := SymEigMax(a, 500, 1e-12)
-	if !almostEq(lam, 7, 1e-8) {
-		t.Fatalf("λmax = %v, want 7", lam)
-	}
-	if math.Abs(math.Abs(v[1])-1) > 1e-4 {
-		t.Fatalf("eigvec = %v", v)
-	}
-}
-
-func TestSymEigMinDiagonal(t *testing.T) {
-	a := MatFromRows([][]float64{{3, 0}, {0, 0.5}})
-	if got := SymEigMin(a, 500, 1e-12); !almostEq(got, 0.5, 1e-6) {
-		t.Fatalf("λmin = %v, want 0.5", got)
-	}
-}
-
-func TestEigRandomSPDSandwich(t *testing.T) {
-	// For A = BᵀB: λmin ≥ 0 and λmin ≤ rayleigh(u) ≤ λmax for random u.
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		d := 2 + rng.Intn(5)
-		b := NewMat(d+3, d)
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		a := b.Gram()
-		lmax, _ := SymEigMax(a, 2000, 1e-13)
-		lmin := SymEigMin(a, 2000, 1e-13)
-		if lmin < -1e-8 {
-			t.Fatalf("λmin = %v < 0 for SPD", lmin)
-		}
-		for k := 0; k < 20; k++ {
-			u := make([]float64, d)
-			for i := range u {
-				u[i] = rng.NormFloat64()
-			}
-			r := Dot(u, a.MatVec(nil, u)) / Norm2Sq(u)
-			if r > lmax*(1+1e-6)+1e-9 || r < lmin*(1-1e-6)-1e-6 {
-				t.Fatalf("Rayleigh %v outside [%v, %v]", r, lmin, lmax)
-			}
-		}
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	a := MatFromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L·Lᵀ == A.
-	rec := l.Mul(l.T())
-	for i := range rec.Data {
-		if !almostEq(rec.Data[i], a.Data[i], 1e-12) {
-			t.Fatalf("LLᵀ = %+v != A", rec)
-		}
-	}
-	x, err := SolveSPD(a, []float64{8, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := a.MatVec(nil, x)
-	if Dist2(back, []float64{8, 7}) > 1e-9 {
-		t.Fatalf("SolveSPD residual: %v", back)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := MatFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, −1
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("Cholesky accepted an indefinite matrix")
-	}
-	if _, err := Cholesky(NewMat(2, 3)); err == nil {
-		t.Fatal("Cholesky accepted a non-square matrix")
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Noiseless planted model must be recovered exactly (well-conditioned X).
-	rng := rand.New(rand.NewSource(4))
-	n, d := 40, 5
-	x := NewMat(n, d)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	w := []float64{1, -2, 0, 0.5, 3}
-	y := x.MatVec(nil, w)
-	got, err := LeastSquares(x, y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Dist2(got, w) > 1e-8 {
-		t.Fatalf("LeastSquares = %v, want %v", got, w)
-	}
-}
-
-func TestLeastSquaresRidgeShrinks(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n, d := 30, 4
-	x := NewMat(n, d)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	w := []float64{2, 2, 2, 2}
-	y := x.MatVec(nil, w)
-	plain, _ := LeastSquares(x, y, 0)
-	ridged, _ := LeastSquares(x, y, 100)
-	if Norm2(ridged) >= Norm2(plain) {
-		t.Fatalf("ridge did not shrink: %v >= %v", Norm2(ridged), Norm2(plain))
 	}
 }

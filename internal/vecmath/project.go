@@ -86,18 +86,3 @@ func ProjectSimplex(v []float64) []float64 {
 	}
 	return v
 }
-
-// ProjectBox clamps v in place to the box [lo, hi]^d and returns v.
-func ProjectBox(v []float64, lo, hi float64) []float64 {
-	if lo > hi {
-		panic("vecmath: ProjectBox lo > hi")
-	}
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-	return v
-}

@@ -53,13 +53,5 @@ func (o *OnlineMoments) Var() float64 {
 	return o.m2 / float64(o.N)
 }
 
-// SampleVar returns the unbiased sample variance.
-func (o *OnlineMoments) SampleVar() float64 {
-	if o.N < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.N-1)
-}
-
 // Std returns the population standard deviation.
 func (o *OnlineMoments) Std() float64 { return math.Sqrt(o.Var()) }

@@ -2,7 +2,7 @@
 // heavy-tailed DP-SCO algorithms: vector arithmetic, norms, sparsity
 // operations (top-k selection, hard thresholding), projections onto the
 // ℓ1/ℓ2 balls and the simplex, and a small dense-matrix toolkit with
-// covariance and extremal-eigenvalue routines.
+// the mat-vec and second-moment kernels.
 //
 // Everything is written against plain []float64 so callers never pay for
 // wrapper types on hot paths; the Mat type is a thin row-major view.
@@ -64,17 +64,6 @@ func Norm1(v []float64) float64 {
 	return s
 }
 
-// NormInf returns ‖v‖∞.
-func NormInf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Norm0 returns the number of non-zero entries (the "ℓ0 norm").
 func Norm0(v []float64) int {
 	n := 0
@@ -101,29 +90,12 @@ func Zero(v []float64) []float64 {
 	return v
 }
 
-// Fill sets every entry of v to c and returns v.
-func Fill(v []float64, c float64) []float64 {
-	for i := range v {
-		v[i] = c
-	}
-	return v
-}
-
 // Scale multiplies v in place by c and returns v.
 func Scale(v []float64, c float64) []float64 {
 	for i := range v {
 		v[i] *= c
 	}
 	return v
-}
-
-// Scaled returns c·v as a new slice.
-func Scaled(v []float64, c float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = c * x
-	}
-	return out
 }
 
 // Axpy computes y ← y + a·x in place and returns y.
@@ -135,30 +107,6 @@ func Axpy(a float64, x, y []float64) []float64 {
 		y[i] += a * xi
 	}
 	return y
-}
-
-// Add computes dst = a + b element-wise and returns dst. dst may alias a or b.
-func Add(dst, a, b []float64) []float64 {
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Sub computes dst = a − b element-wise and returns dst. dst may alias a or b.
-func Sub(dst, a, b []float64) []float64 {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
-// Hadamard computes dst = a ⊙ b element-wise and returns dst.
-func Hadamard(dst, a, b []float64) []float64 {
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-	return dst
 }
 
 // Lerp computes dst = (1−t)·a + t·b, the convex combination used by
@@ -181,48 +129,6 @@ func Dist2(a, b []float64) float64 {
 		s += r * r
 	}
 	return math.Sqrt(s)
-}
-
-// ArgmaxAbs returns the index of the entry with the largest magnitude
-// (ties broken by the smallest index) and that magnitude. It returns
-// (-1, 0) for an empty slice.
-func ArgmaxAbs(v []float64) (int, float64) {
-	idx, best := -1, math.Inf(-1)
-	for i, x := range v {
-		if a := math.Abs(x); a > best {
-			best, idx = a, i
-		}
-	}
-	if idx == -1 {
-		return -1, 0
-	}
-	return idx, best
-}
-
-// Support returns the sorted indices of the non-zero entries of v.
-func Support(v []float64) []int {
-	var s []int
-	for i, x := range v {
-		if x != 0 {
-			s = append(s, i)
-		}
-	}
-	return s
-}
-
-// Restrict zeroes every entry of v whose index is not in keep, in place,
-// and returns v. keep need not be sorted.
-func Restrict(v []float64, keep []int) []float64 {
-	mask := make(map[int]bool, len(keep))
-	for _, j := range keep {
-		mask[j] = true
-	}
-	for i := range v {
-		if !mask[i] {
-			v[i] = 0
-		}
-	}
-	return v
 }
 
 // TopKIndices returns the indices of the k entries of v with largest
@@ -252,24 +158,6 @@ func HardThreshold(v []float64, k int) []float64 {
 	out := make([]float64, len(v))
 	for _, j := range TopKIndices(v, k) {
 		out[j] = v[j]
-	}
-	return out
-}
-
-// SoftThreshold applies the soft-thresholding operator
-// sign(x)·max(|x|−λ, 0) entry-wise, returning a new slice.
-func SoftThreshold(v []float64, lambda float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		a := math.Abs(x) - lambda
-		if a <= 0 {
-			continue
-		}
-		if x > 0 {
-			out[i] = a
-		} else {
-			out[i] = -a
-		}
 	}
 	return out
 }
@@ -311,37 +199,6 @@ func IsFinite(v []float64) bool {
 	return true
 }
 
-// Sum returns the sum of the entries.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of the entries (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// Variance returns the population variance of the entries.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		r := x - m
-		s += r * r
-	}
-	return s / float64(len(v))
-}
-
 // Median returns the median of v (average of the two middle order
 // statistics for even length). The input is not modified.
 func Median(v []float64) float64 {
@@ -355,25 +212,4 @@ func Median(v []float64) float64 {
 		return c[m]
 	}
 	return (c[m-1] + c[m]) / 2
-}
-
-// Quantile returns the q-th empirical quantile of v for q in [0,1]
-// using linear interpolation between order statistics.
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	if q < 0 || q > 1 {
-		panic("vecmath: Quantile q outside [0,1]")
-	}
-	c := Clone(v)
-	sort.Float64s(c)
-	pos := q * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -45,9 +44,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm1(v); got != 7 {
 		t.Errorf("Norm1 = %v, want 7", got)
 	}
-	if got := NormInf(v); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 	if got := Norm0(v); got != 2 {
 		t.Errorf("Norm0 = %v, want 2", got)
 	}
@@ -74,7 +70,11 @@ func TestNormInequalities(t *testing.T) {
 			// Keep magnitudes sane so the chain is not hit by rounding.
 			v[i] = math.Mod(v[i], 1e6)
 		}
-		n1, n2, ni := Norm1(v), Norm2(v), NormInf(v)
+		ni := 0.0
+		for _, x := range v {
+			ni = math.Max(ni, math.Abs(x))
+		}
+		n1, n2 := Norm1(v), Norm2(v)
 		d := math.Sqrt(float64(len(v)))
 		return ni <= n2*(1+1e-12) && n2 <= n1*(1+1e-12) && n1 <= d*n2*(1+1e-12)
 	}
@@ -103,25 +103,12 @@ func TestScaleAxpy(t *testing.T) {
 	if !reflect.DeepEqual(y, []float64{2, 3, 4}) {
 		t.Fatalf("Axpy = %v", y)
 	}
-	s := Scaled([]float64{1, -1}, 3)
-	if !reflect.DeepEqual(s, []float64{3, -3}) {
-		t.Fatalf("Scaled = %v", s)
-	}
 }
 
-func TestAddSubHadamardLerp(t *testing.T) {
+func TestLerp(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
 	dst := make([]float64, 2)
-	if got := Add(dst, a, b); !reflect.DeepEqual(got, []float64{4, 7}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := Sub(dst, a, b); !reflect.DeepEqual(got, []float64{-2, -3}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Hadamard(dst, a, b); !reflect.DeepEqual(got, []float64{3, 10}) {
-		t.Errorf("Hadamard = %v", got)
-	}
 	if got := Lerp(dst, a, b, 0.5); !reflect.DeepEqual(got, []float64{2, 3.5}) {
 		t.Errorf("Lerp = %v", got)
 	}
@@ -153,31 +140,6 @@ func TestLerpStaysInSegmentProperty(t *testing.T) {
 				t.Fatalf("Lerp left segment: %v not in [%v,%v]", out[i], lo, hi)
 			}
 		}
-	}
-}
-
-func TestArgmaxAbs(t *testing.T) {
-	if i, m := ArgmaxAbs([]float64{1, -5, 3}); i != 1 || m != 5 {
-		t.Fatalf("ArgmaxAbs = (%d,%v)", i, m)
-	}
-	if i, _ := ArgmaxAbs(nil); i != -1 {
-		t.Fatalf("ArgmaxAbs(nil) index = %d", i)
-	}
-	// Tie goes to the first index.
-	if i, _ := ArgmaxAbs([]float64{2, -2}); i != 0 {
-		t.Fatalf("ArgmaxAbs tie = %d", i)
-	}
-}
-
-func TestSupportRestrict(t *testing.T) {
-	v := []float64{0, 1, 0, -2}
-	if got := Support(v); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("Support = %v", got)
-	}
-	w := Clone(v)
-	Restrict(w, []int{3})
-	if !reflect.DeepEqual(w, []float64{0, 0, 0, -2}) {
-		t.Fatalf("Restrict = %v", w)
 	}
 }
 
@@ -225,15 +187,6 @@ func TestHardThresholdProperty(t *testing.T) {
 				t.Fatalf("dropped |%v| although kept min %v", v[i], minKept)
 			}
 		}
-	}
-}
-
-func TestSoftThreshold(t *testing.T) {
-	v := []float64{3, -0.5, -2}
-	got := SoftThreshold(v, 1)
-	want := []float64{2, 0, -1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SoftThreshold = %v, want %v", got, want)
 	}
 }
 
@@ -299,23 +252,7 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
-func TestSumMeanVariance(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	if got := Sum(v); got != 10 {
-		t.Errorf("Sum = %v", got)
-	}
-	if got := Mean(v); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Variance(v); !almostEq(got, 1.25, 1e-12) {
-		t.Errorf("Variance = %v", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty-input Mean/Variance should be 0")
-	}
-}
-
-func TestMedianQuantile(t *testing.T) {
+func TestMedian(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("Median odd = %v", got)
 	}
@@ -324,19 +261,6 @@ func TestMedianQuantile(t *testing.T) {
 	}
 	if !math.IsNaN(Median(nil)) {
 		t.Error("Median(nil) should be NaN")
-	}
-	v := []float64{0, 1, 2, 3, 4}
-	if got := Quantile(v, 0.5); got != 2 {
-		t.Errorf("Quantile 0.5 = %v", got)
-	}
-	if got := Quantile(v, 0); got != 0 {
-		t.Errorf("Quantile 0 = %v", got)
-	}
-	if got := Quantile(v, 1); got != 4 {
-		t.Errorf("Quantile 1 = %v", got)
-	}
-	if got := Quantile(v, 0.25); got != 1 {
-		t.Errorf("Quantile 0.25 = %v", got)
 	}
 	// Input unchanged.
 	u := []float64{3, 1, 2}
@@ -359,28 +283,7 @@ func TestMedianRobustToOutlier(t *testing.T) {
 	if Median(v) != 3 {
 		t.Fatalf("Median = %v", Median(v))
 	}
-	if Mean(v) < 1e11 {
-		t.Fatalf("Mean = %v, expected to be dragged by the outlier", Mean(v))
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := make([]float64, 50)
-	for i := range v {
-		v[i] = rng.NormFloat64() * 10
-	}
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		cur := Quantile(v, q)
-		if cur < prev-1e-12 {
-			t.Fatalf("Quantile not monotone at q=%v: %v < %v", q, cur, prev)
-		}
-		prev = cur
-	}
-	sorted := Clone(v)
-	sort.Float64s(sorted)
-	if Quantile(v, 0) != sorted[0] || Quantile(v, 1) != sorted[len(sorted)-1] {
-		t.Fatal("Quantile endpoints disagree with min/max")
+	if mean := (1 + 2 + 3 + 4 + 1e12) / 5.0; mean < 1e11 {
+		t.Fatalf("mean = %v, expected to be dragged by the outlier", mean)
 	}
 }
