@@ -295,8 +295,12 @@ func SparseOptSource(src Source, opt SparseOptOptions) ([]float64, error) {
 }
 
 // Peeling is the (ε, δ)-DP noisy top-s selection of Algorithm 4; lambda
-// bounds the ℓ∞-sensitivity of v. The selection scan runs on all cores;
-// PeelingP selects the worker count explicitly.
+// bounds the ℓ∞-sensitivity of v (0 releases the exact top s). The
+// selection scan runs on all cores; PeelingP selects the worker count
+// explicitly. It panics, naming the argument, on s outside [1, len(v)],
+// an ε that is not finite and positive, δ outside (0, 1), a λ that is
+// not finite and ≥ 0, a noise scale that overflows, or a non-finite
+// entry of v.
 func Peeling(r *RNG, v []float64, s int, eps, delta, lambda float64) []float64 {
 	return core.PeelingP(r, v, s, eps, delta, lambda, 0)
 }

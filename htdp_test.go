@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"htdp"
@@ -261,5 +263,68 @@ func TestFacadeServing(t *testing.T) {
 	}
 	if _, err := htdp.RunSweep(context.Background(), htdp.SweepRequest{Experiment: "fig99"}, nil); err == nil {
 		t.Fatal("unknown experiment: expected error")
+	}
+}
+
+// TestPeelingArgumentTable drives Algorithm 4 through the facade with
+// the arguments no algorithm validates for it. A NaN ε, δ or λ fails
+// every comparison, so it would skip both noise draws and release the
+// exact top s; a NaN entry of v would leave a selection round with no
+// candidate. Each must panic naming its argument, while λ = 0 (zero
+// sensitivity) stays the documented exact top s.
+func TestPeelingArgumentTable(t *testing.T) {
+	v := []float64{0.5, -3, 2, 0.1}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name            string
+		v               []float64
+		eps, delta, lam float64
+		panicWith       string // "" → the exact top 2
+	}{
+		{"lambda NaN", v, 1, 1e-5, nan, "λ=NaN"},
+		{"eps NaN", v, nan, 1e-5, 1, "ε=NaN"},
+		{"delta NaN", v, 1, nan, 1, "δ=NaN"},
+		{"lambda +Inf", v, 1, 1e-5, inf, "λ=+Inf"},
+		{"eps +Inf", v, inf, 1e-5, 1, "ε=+Inf"},
+		{"eps subnormal", v, 5e-324, 1e-5, 1, "noise scale overflows"},
+		{"delta subnormal", v, 1, 5e-324, 1, "noise scale overflows"},
+		{"v NaN", []float64{0.5, nan, 2, 0.1}, 1, 1e-5, 1, "v[1]=NaN"},
+		{"v -Inf", []float64{0.5, -3, math.Inf(-1), 0.1}, 1, 1e-5, 1, "v[2]=-Inf"},
+		{"lambda 0", v, 1, 1e-5, 0, ""},
+		{"lambda 0, delta subnormal", v, 1, 5e-324, 0, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got []float64
+			msg := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				got = htdp.PeelingP(htdp.NewRNG(1), c.v, 2, c.eps, c.delta, c.lam, 1)
+				return ""
+			}()
+			if c.panicWith == "" {
+				if msg != "" {
+					t.Fatalf("panicked: %s", msg)
+				}
+				if want := []float64{0, -3, 2, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("got %v, want the exact top 2 %v", got, want)
+				}
+				return
+			}
+			if !strings.Contains(msg, c.panicWith) {
+				t.Fatalf("got %v (panic %q), want a panic naming %q", got, msg, c.panicWith)
+			}
+		})
+	}
+	// A finite scale near MaxFloat64 makes about one Laplace draw in
+	// twelve overflow to −∞. A round whose every candidate scores −∞
+	// must still select one, never index −1.
+	for seed := int64(1); seed <= 64; seed++ {
+		out := htdp.PeelingP(htdp.NewRNG(seed), []float64{1, 2}, 2, 1, 1e-5, 6e306, 1)
+		if out[0] == 0 || out[1] == 0 {
+			t.Fatalf("seed %d: released %v, want both coordinates selected", seed, out)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"htdp/internal/core"
@@ -62,6 +63,9 @@ func init() {
 	Register("kernel:rdp-sigma", benchRDPSigma)
 	Register("kernel:fw-run-seq", benchFWRun(1))
 	Register("kernel:fw-run-par", benchFWRun(0))
+
+	Register("iter:lasso", benchIterLasso)
+	Register("iter:nonprivate-fw", benchIterNonprivateFW)
 }
 
 // genDemoLinear is cmd/htdp's built-in demo-linear dataset: 2000 rows
@@ -338,4 +342,61 @@ func benchFWRun(workers int) func(b *testing.B) {
 			}
 		}
 	}
+}
+
+// iterData is the iter: entries' dataset: 9000 rows of 200 §6
+// log-normal features, two stream chunks of 4500 rows. Built once per
+// process.
+var iterData = sync.OnceValue(func() *data.Dataset {
+	return data.Linear(randx.New(7), data.LinearOpt{
+		N: 9000, D: 200,
+		Feature: randx.LogNormal{Mu: 0, Sigma: math.Sqrt(0.6)},
+		Noise:   randx.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
+	})
+})
+
+// benchIterLasso measures one warm Algorithm 2 iteration on iterData
+// with the sequential engine: a run of b.N+1 iterations whose timer
+// and allocation counters restart when the first iteration's Trace
+// fires, so setup (the whole-set shrink) and the first pass, which
+// primes the carried residual, are not counted.
+func benchIterLasso(b *testing.B) {
+	ds := iterData()
+	b.ReportAllocs()
+	if _, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{
+		Eps: 1, Delta: 1e-5, T: b.N + 1, Parallelism: 1, Rng: randx.New(8),
+		Trace: func(t int, _ []float64) {
+			if t == 1 {
+				b.ResetTimer()
+			}
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// warmBall is the unit ℓ1 ball of NonprivateFW's callers, whose first
+// Vertex call — the end of the run's first iteration — restarts the
+// benchmark's timer and allocation counters.
+type warmBall struct {
+	polytope.L1Ball
+	b    *testing.B
+	warm bool
+}
+
+func (p *warmBall) Vertex(i int, dst []float64) []float64 {
+	if !p.warm {
+		p.warm = true
+		p.b.ResetTimer()
+	}
+	return p.L1Ball.Vertex(i, dst)
+}
+
+// benchIterNonprivateFW measures one warm iteration of the non-private
+// Frank–Wolfe reference (squared loss, carried margins, all cores) on
+// iterData: a run of b.N+1 iterations timed from the end of the first.
+func benchIterNonprivateFW(b *testing.B) {
+	ds := iterData()
+	b.ReportAllocs()
+	core.NonprivateFW(ds, loss.Squared{}, &warmBall{L1Ball: polytope.NewL1Ball(ds.D(), 1), b: b}, b.N+1, nil)
 }

@@ -20,9 +20,15 @@ import (
 // minimization over the vertex set. The experiments use it both as the
 // ε→∞ reference and to compute the non-private optimum w* for
 // excess-risk measurements (§6.2).
+//
+// A margin loss without a regularization term (squared, logistic)
+// carries the margins X·w across iterations (fwMargins), so an
+// iteration reads the data once: per chunk, the gradient scales
+// cᵢ = GradScale(zᵢ, yᵢ) and one register-blocked Xᵀc product. Every
+// other loss takes loss.FullGradientSourceWS's per-sample path.
 func NonprivateFW(ds *data.Dataset, l loss.Loss, p polytope.Polytope, T int, w0 []float64) []float64 {
 	src := data.NewMemSource(ds)
-	d := src.D()
+	n, d := src.N(), src.D()
 	w := make([]float64, d)
 	if w0 != nil {
 		copy(w, w0)
@@ -30,12 +36,40 @@ func NonprivateFW(ds *data.Dataset, l loss.Loss, p polytope.Polytope, T int, w0 
 	grad := make([]float64, d)
 	vtx := make([]float64, d)
 	var gws loss.GradWorkspace
+	gradient := func() error {
+		_, err := loss.FullGradientSourceWS(l, grad, w, src, 0, &gws)
+		return err
+	}
+	var margins *fwMargins
+	if ml, ok := loss.AsMargin(l); ok && ml.RegCoeff() == 0 && n > 0 {
+		margins = newFWMargins(n, false)
+		C := data.StreamChunks(n)
+		scales := make([]float64, data.MaxChunkRows(n, C))
+		part := make([]float64, d)
+		var mw vecmath.MatWorkspace
+		chunkBody := func(c int, ck *data.Dataset) error {
+			z := margins.chunk(c, ck, w, &mw, 0)
+			mw.MatTVec(part, ck.X, loss.ScalesFromMargins(ml, scales[:len(z)], z, ck.Y), 0)
+			vecmath.Axpy(1, part, grad)
+			return nil
+		}
+		gradient = func() error {
+			vecmath.Zero(grad)
+			err := data.EachChunk(src, C, chunkBody)
+			vecmath.Scale(grad, 1/float64(n))
+			return err
+		}
+	}
 	for t := 1; t <= T; t++ {
-		if _, err := loss.FullGradientSourceWS(l, grad, w, src, 0, &gws); err != nil {
+		if err := gradient(); err != nil {
 			panic(err) // unreachable: MemSource chunks cannot fail
 		}
 		p.Vertex(polytope.ArgminLinear(p, grad), vtx)
-		vecmath.Lerp(w, w, vtx, 2/float64(t+2))
+		eta := 2 / float64(t+2)
+		vecmath.Lerp(w, w, vtx, eta)
+		if margins != nil {
+			margins.step(eta, vtx)
+		}
 	}
 	return w
 }

@@ -103,18 +103,15 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	w := vecmath.Clone(opt.W0)
 	grad := make([]float64, d)
 	part := make([]float64, d)
-	resid := make([]float64, data.MaxChunkRows(n, C))
 	vtx := make([]float64, d)
+	// The residual r = X̃w − ỹ of all n rows is carried across
+	// iterations (fwMargins), so a pass reads each shrunken chunk once.
+	resid := newFWMargins(n, true)
 	// Step 4's chunk body is hoisted with the run's MatWorkspace, so the
 	// T-iteration loop reuses one set of kernel buffers and closures.
 	var mw vecmath.MatWorkspace
-	chunkBody := func(_ int, ck *data.Dataset) error {
-		m := ck.N()
-		r := resid[:m]
-		mw.MatVec(r, ck.X, w, opt.Parallelism)
-		for i := 0; i < m; i++ {
-			r[i] -= ck.Y[i]
-		}
+	chunkBody := func(c int, ck *data.Dataset) error {
+		r := resid.chunk(c, ck, w, &mw, opt.Parallelism)
 		mw.MatTVec(part, ck.X, r, opt.Parallelism)
 		vecmath.Axpy(1, part, grad)
 		return nil
@@ -122,10 +119,10 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	for t := 1; t <= opt.T; t++ {
 		// Step 4: g̃(w, D̃) = (2/n)·Σ x̃ᵢ(⟨x̃ᵢ, w⟩ − ỹᵢ), the exact
 		// empirical gradient of the squared loss on the shrunken data,
-		// accumulated chunk by chunk as the register-blocked pair
-		// r = X̃w − ỹ, g̃ += X̃ᵀr. Chunk order and the per-chunk shard
-		// structure are functions of n alone, so the gradient is
-		// bit-identical for every worker count and every backend.
+		// accumulated chunk by chunk as g̃ += X̃ᵀr over the carried
+		// residual. Chunk order and the per-chunk shard structure are
+		// functions of n alone, so the gradient is bit-identical for
+		// every worker count and every backend.
 		vecmath.Zero(grad)
 		if err := data.EachChunk(sh, C, chunkBody); err != nil {
 			return nil, fmt.Errorf("core: Lasso: %w", err)
@@ -134,7 +131,9 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 		idx := dp.ExponentialL1Ball(opt.Rng, grad, opt.Domain.Radius, sens, epsIter)
 		opt.Domain.Vertex(idx, vtx)
 		// Step 5: convex update with η_{t−1} = 2/(t+2).
-		vecmath.Lerp(w, w, vtx, 2/float64(t+2))
+		eta := 2 / float64(t+2)
+		vecmath.Lerp(w, w, vtx, eta)
+		resid.step(eta, vtx)
 		if opt.Trace != nil {
 			opt.Trace(t, w)
 		}

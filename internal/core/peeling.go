@@ -19,6 +19,12 @@ import (
 // rounds and the final release use noise scale PeelingScale(s, ε, δ, λ)
 // = 2λ√(3s·log(1/δ))/ε.
 //
+// It panics, naming the argument, on s outside [1, len(v)], an ε that
+// is not finite and positive, δ outside (0, 1), a λ that is not finite
+// and ≥ 0, a noise scale that overflows, or a non-finite entry of v —
+// NaN in particular, which would otherwise skip the noise. λ = 0 (zero
+// sensitivity) releases the exact top s.
+//
 // The input v is not modified; the result is a fresh s-sparse vector.
 // workers is the selection scan's worker count (0 → GOMAXPROCS,
 // 1 → sequential). Each selection round shards the coordinate range
@@ -65,13 +71,23 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 	if s < 1 || s > len(v) {
 		panic(fmt.Sprintf("core: Peeling s=%d outside [1,%d]", s, len(v)))
 	}
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("core: Peeling needs 0<ε and 0<δ<1, got ε=%v δ=%v", eps, delta))
+	// Written so that NaN fails every test: a NaN ε, δ or λ would
+	// otherwise skip both noise draws and release the exact top s.
+	if !(eps > 0) || math.IsInf(eps, 1) || !(delta > 0 && delta < 1) {
+		panic(fmt.Sprintf("core: Peeling needs a finite ε > 0 and 0 < δ < 1, got ε=%v δ=%v", eps, delta))
 	}
-	if lambda < 0 {
-		panic("core: Peeling negative noise scale")
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		panic(fmt.Sprintf("core: Peeling needs a finite sensitivity λ ≥ 0, got λ=%v", lambda))
 	}
 	scale := PeelingScale(s, eps, delta, lambda)
+	if math.IsInf(scale, 1) {
+		panic(fmt.Sprintf("core: Peeling noise scale overflows at ε=%v δ=%v λ=%v", eps, delta, lambda))
+	}
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			panic(fmt.Sprintf("core: Peeling needs a finite v, got v[%d]=%v", j, x))
+		}
+	}
 	d := len(v)
 	if ps == nil {
 		ps = &peelScratch{}
@@ -112,7 +128,9 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 				if noisy {
 					score += ps.rngs[shard].Laplace(scale)
 				}
-				if score > b.score {
+				// The first candidate counts even at a −∞ score (an
+				// overflowing draw), so a round always selects one.
+				if b.j < 0 || score > b.score {
 					b = peelArgmax{score, j}
 				}
 			}
@@ -126,7 +144,7 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 		parallel.For(workers, d, ps.body)
 		win := peelArgmax{math.Inf(-1), -1}
 		for _, b := range bests {
-			if b.j >= 0 && b.score > win.score {
+			if b.j >= 0 && (win.j < 0 || b.score > win.score) {
 				win = b
 			}
 		}
@@ -146,8 +164,11 @@ func peeling(ps *peelScratch, dst []float64, r *randx.RNG, v []float64, s int, e
 
 // PeelingScale returns the Laplace scale PeelingP draws its noise at;
 // exposed so tests and utility analyses can reason about the added
-// noise.
+// noise. λ = 0 (zero sensitivity) gives 0 at every ε and δ.
 func PeelingScale(s int, eps, delta, lambda float64) float64 {
+	if lambda == 0 {
+		return 0
+	}
 	return 2 * lambda * math.Sqrt(3*float64(s)*math.Log(1/delta)) / eps
 }
 

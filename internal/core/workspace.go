@@ -16,7 +16,8 @@ import (
 
 // This file holds the per-run iteration workspaces that make the
 // algorithms' steady-state loops allocation-free: the fused
-// robust-gradient state (gradState), the vertex-selection state
+// robust-gradient state (gradState), the Frank–Wolfe margins carried
+// across iterations (fwMargins), the vertex-selection state
 // (vertexSelector), the clipped-gradient reduction of the baselines
 // (gradSum), and the memoized vertex-norm bound (maxVertexL1). Every
 // helper is created once per run, before the iteration loop, and owns
@@ -69,6 +70,85 @@ func (gs *gradState) estimate(dst, w []float64, ck *data.Dataset) {
 	gs.w, gs.cur = w, ck
 	gs.est.EstimateFuncWS(dst, m, gs.ws, gs.gradFn)
 	gs.w, gs.cur = nil, nil
+}
+
+// fwMargins carries u = X·w − b across the iterations of a full-data
+// Frank–Wolfe loop whose gradient reads the data only through u: b = y
+// for Algorithm 2's residual, b = 0 for NonprivateFW's margins. A step
+// w ← (1−η)·w + η·v moves u to (1−η)·u + η·(X·v − b), and X·v reads
+// only v's nonzero coordinates — one column for a vertex of the ℓ1
+// ball or the simplex. So after the first iteration, a pass brings
+// each chunk's rows of u up to date from that chunk's column and runs
+// only the Xᵀ product on it: one read of the data per iteration
+// instead of a MatVec and a MatTVec. The first pass computes u with
+// MatVec, or as −b without a product when w = 0.
+//
+// The carried u differs from a recomputed X·w − b by rounding only.
+// The iterate never reads u, so w is bit-identical to the two-pass
+// loop's whenever the vertex choices are; a choice can differ only on
+// a near-tie at that rounding level. u holds all n rows (8n bytes).
+type fwMargins struct {
+	u      []float64
+	n, C   int  // rows and data.StreamChunks(n): chunk c starts at row c·n/C
+	labels bool // b = y (else b = 0)
+	primed bool // u holds X·w − b for the iterate before the pending step
+
+	// The pending step, applied chunk by chunk on the next pass: η and
+	// v's nonzero coordinates with their values.
+	eta  float64
+	cols []int
+	vals []float64
+}
+
+func newFWMargins(n int, labels bool) *fwMargins {
+	return &fwMargins{u: make([]float64, n), n: n, C: data.StreamChunks(n), labels: labels}
+}
+
+// chunk returns u's rows for chunk c of the pass (ck), brought up to
+// the current iterate w. Every chunk of every pass must be visited
+// once, in any order, between two steps.
+func (fm *fwMargins) chunk(c int, ck *data.Dataset, w []float64, mw *vecmath.MatWorkspace, workers int) []float64 {
+	lo, hi := data.ChunkBounds(c, fm.C, fm.n)
+	u := fm.u[lo:hi]
+	if !fm.primed {
+		if vecmath.Norm0(w) == 0 {
+			vecmath.Zero(u) // X·0, without reading X
+		} else {
+			mw.MatVec(u, ck.X, w, workers)
+		}
+		if fm.labels {
+			for i := range u {
+				u[i] -= ck.Y[i]
+			}
+		}
+		return u
+	}
+	a, eta, d := 1-fm.eta, fm.eta, ck.X.Cols
+	for i := range u {
+		row := ck.X.Data[i*d : (i+1)*d]
+		var xv float64
+		for k, j := range fm.cols {
+			xv += row[j] * fm.vals[k]
+		}
+		if fm.labels {
+			xv -= ck.Y[i]
+		}
+		u[i] = a*u[i] + eta*xv
+	}
+	return u
+}
+
+// step records the Frank–Wolfe step w ← (1−η)·w + η·v, which the next
+// pass applies to u.
+func (fm *fwMargins) step(eta float64, v []float64) {
+	fm.primed, fm.eta = true, eta
+	fm.cols, fm.vals = fm.cols[:0], fm.vals[:0]
+	for j, x := range v {
+		if x != 0 {
+			fm.cols = append(fm.cols, j)
+			fm.vals = append(fm.vals, x)
+		}
+	}
 }
 
 // vertexSelector runs the exponential mechanism over a polytope's

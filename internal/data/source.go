@@ -404,11 +404,15 @@ type shrinkSource struct {
 
 // ShrinkSource wraps src so every chunk is entry-wise truncated at k:
 // x̃ᵢⱼ = sign(xᵢⱼ)·min(|xᵢⱼ|, k), ỹᵢ likewise. Each Chunk call shrinks a
-// fresh copy of the underlying chunk (the wrapped source's cache, if
-// any, stays unshrunken). An in-memory source is shrunken whole, once,
-// up front instead — the data is already n×d resident, and algorithms
-// that stream it every iteration (LASSO) would otherwise pay a clone
-// per chunk per iteration. Both paths produce bit-identical chunks:
+// copy of the underlying chunk into one recycled chunk-sized buffer
+// (the wrapped source's cache, if any, stays unshrunken), re-filled on
+// every pass. Only a bare *MemSource — what the sweep trials pass — is
+// shrunken whole, once, up front instead: an n×d clone (43 MB for a
+// fig6 trial at n = 13 500, d = 400) that algorithms streaming it every
+// iteration (LASSO) then read as views. A wrapped MemSource takes the
+// per-chunk path: served runs pass the pool's MemSource inside
+// data.WithContext, so a served lasso over a 9 000×40 set holds one
+// 4 500×40 buffer (1.44 MB). Both paths produce bit-identical chunks:
 // the map is entry-wise.
 func ShrinkSource(src Source, k float64) Source {
 	if ms, ok := src.(*MemSource); ok {

@@ -86,10 +86,11 @@ func TestScalesFromMargins(t *testing.T) {
 	}
 }
 
-// TestFullGradientSourceWSFused: the fused streaming full gradient must
-// match the generic path bit for bit, and allocate nothing with a warm
+// TestFullGradientSourceWSWarmWorkspace: the streaming full gradient
+// must be bit-identical with a reused workspace and a fresh one, for a
+// plain and a regularized margin loss, and allocate nothing with a warm
 // workspace on the in-memory backend.
-func TestFullGradientSourceWSFused(t *testing.T) {
+func TestFullGradientSourceWSWarmWorkspace(t *testing.T) {
 	r := randx.New(4)
 	const n, d = 300, 40
 	x := vecmath.NewMat(n, d)
@@ -101,7 +102,7 @@ func TestFullGradientSourceWSFused(t *testing.T) {
 	w := r.NormalVec(make([]float64, d), 1)
 	for name, l := range map[string]Loss{
 		"squared":     Squared{},
-		"reglogistic": RegLogistic{Lambda: 0.2}, // reg ≠ 0: stays on the generic path
+		"reglogistic": RegLogistic{Lambda: 0.2},
 	} {
 		var ws GradWorkspace
 		got, err := FullGradientSourceWS(l, nil, w, src, 1, &ws)

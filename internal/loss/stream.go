@@ -84,16 +84,12 @@ func ExcessRiskSource(l Loss, w, ref []float64, src data.Source, workers int) (f
 }
 
 // GradWorkspace is the reusable scratch of FullGradientSourceWS: the
-// margin/scale buffers of the fused path, the per-chunk partial, the
-// per-shard reduction buffers of the generic path, and the cached loop
-// closures. One workspace per run per goroutine; reusing it across a
-// loop's iterations eliminates the per-iteration allocations of the
+// per-chunk partial, the per-shard reduction buffers, and the cached
+// loop closure. One workspace per run per goroutine; reusing it across
+// a loop's iterations eliminates the per-iteration allocations of the
 // full-gradient baselines.
 type GradWorkspace struct {
-	// Mat serves the fused path's register-blocked X·w and Xᵀc products.
-	Mat vecmath.MatWorkspace
-
-	margins, scales, part []float64
+	part []float64
 
 	red      parallel.VecReducer
 	bufsPool parallel.ShardBufs
@@ -114,14 +110,10 @@ func growFloats(s []float64, n int) []float64 {
 
 // FullGradientSourceWS writes the empirical-risk gradient
 // (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
-// nil) and returns it, streaming one chunk at a time. ws is a reusable
-// workspace; nil allocates a fresh one. Margin-factorized losses
-// without a regularization term take the fused path — one
-// register-blocked X·w product for the margins, one scalar pass for the
-// gradient scales, one register-blocked Xᵀc product for the chunk
-// gradient — instead of materializing n gradient rows; the result is
-// bit-identical (the per-shard, per-coordinate accumulation chains are
-// unchanged, see loss.MarginLoss).
+// nil) and returns it, streaming one chunk at a time and summing the
+// per-sample gradients shard by shard. ws is a reusable workspace; nil
+// allocates a fresh one. (core.NonprivateFW takes margin losses on a
+// carried-margins path of its own instead.)
 func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int, ws *GradWorkspace) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, src.D())
@@ -134,26 +126,10 @@ func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int
 	if ws == nil {
 		ws = &GradWorkspace{}
 	}
-	ml, fused := AsMargin(l)
-	if fused && ml.RegCoeff() != 0 {
-		// The λ·w term is folded into every per-sample row by the unfused
-		// path; summing it separately would change the addition order, so
-		// regularized losses keep the row-at-a-time path for bit-identity.
-		fused = false
-	}
 	ws.part = growFloats(ws.part, len(dst))
 	part := ws.part
 	err := data.EachChunk(src, data.StreamChunks(n), func(_ int, ck *data.Dataset) error {
-		m := ck.N()
-		if fused {
-			margins := ws.Mat.MatVec(growFloats(ws.margins, m), ck.X, w, workers)
-			ws.margins = margins
-			ws.scales = growFloats(ws.scales, m)
-			ScalesFromMargins(ml, ws.scales, margins, ck.Y)
-			ws.Mat.MatTVec(part, ck.X, ws.scales, workers)
-		} else {
-			ws.reduceGrad(part, l, w, ck, workers)
-		}
+		ws.reduceGrad(part, l, w, ck, workers)
 		vecmath.Axpy(1, part, dst)
 		return nil
 	})

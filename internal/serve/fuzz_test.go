@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
+
+	"htdp/internal/data"
+	"htdp/internal/randx"
 )
 
 // FuzzRunRequestCanonicalHash fuzzes the request-decode → canonicalize
@@ -72,6 +76,59 @@ func FuzzRunRequestCanonicalHash(f *testing.F) {
 		// Kind tagging always separates the namespaces.
 		if cacheKey("sweep", canon) == key {
 			t.Fatal("kind tag failed to separate run and sweep keys")
+		}
+	})
+}
+
+// FuzzExecuteRun carries request bodies past the cache key into
+// ExecuteRun on a tiny in-memory dataset (48×6). Every body that
+// decodes must end in an error or in a result that json.Marshal
+// encodes, which also proves every number in it finite; no input may
+// panic. Bodies with T outside [1, 8], or with sstar > d for iht and
+// sparseopt, are skipped so that each input costs milliseconds (T = 0
+// resolves to a theory default, which for lasso grows with ε without
+// bound).
+//
+// Seeds: every algorithm, dpsgd under both accountants, with eps,
+// delta, clip and lr at the boundary values 5e-324, 1e-300, 1e300 and
+// MaxFloat64.
+func FuzzExecuteRun(f *testing.F) {
+	algos := []string{`"algo":"fw"`, `"algo":"lasso"`, `"algo":"iht","sstar":3`, `"algo":"sparseopt","sstar":3`,
+		`"algo":"dpsgd","accountant":"compose","batch":8`, `"algo":"dpsgd","accountant":"rdp","batch":8`}
+	for _, algo := range algos {
+		f.Add([]byte(`{"dataset":"tiny",` + algo + `,"T":4}`))
+		for _, v := range []string{"5e-324", "1e-300", "1e300", "1.7976931348623157e308"} {
+			fields := []string{"eps", "delta"}
+			if strings.Contains(algo, "dpsgd") {
+				fields = append(fields, "clip", "lr")
+			}
+			for _, field := range fields {
+				f.Add([]byte(`{"dataset":"tiny",` + algo + `,"T":4,"` + field + `":` + v + `}`))
+			}
+		}
+	}
+	const n, d = 48, 6
+	src := data.NewMemSource(data.Linear(randx.New(5), data.LinearOpt{
+		N: n, D: d,
+		Feature: randx.StudentT{Nu: 3},
+		Noise:   randx.Normal{Mu: 0, Sigma: 0.3},
+	}))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var q RunRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&q); err != nil || dec.More() {
+			return
+		}
+		if q.T < 1 || q.T > 8 || ((q.Algo == "iht" || q.Algo == "sparseopt") && q.SStar > d) {
+			return
+		}
+		res, err := ExecuteRun(context.Background(), src, q)
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatalf("result of %s does not encode: %v", body, err)
 		}
 	})
 }
