@@ -48,6 +48,22 @@ func TestUnknownID(t *testing.T) {
 	}
 }
 
+// TestRunBadRepsAndScale: a reps below 1 or a NaN scale is an error
+// naming the flag, not a panic (reps -1 crashed in the sweep engine's
+// result allocation, scale NaN inside fig3's dataset simulator).
+func TestRunBadRepsAndScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "abl-shrink-k", "-reps", "-1"},
+		{"-run", "fig3", "-scale", "NaN"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if knob := args[2][1:]; err == nil || !strings.Contains(err.Error(), knob) {
+			t.Errorf("%v: error %v, want one naming %s", args, err, knob)
+		}
+	}
+}
+
 func TestRunTinyTable(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-run", "abl-shrink-k", "-reps", "2", "-scale", "0.01"}, &buf); err != nil {

@@ -146,7 +146,7 @@ func RobustRegressionSource(src data.Source, opt RobustRegressionOptions) ([]flo
 		if logTerm < 1 {
 			logTerm = 1
 		}
-		T = int(math.Sqrt(float64(src.N()) * opt.Eps / logTerm))
+		T = defaultT(math.Sqrt(float64(src.N())*opt.Eps/logTerm), src.N())
 	}
 	if T < 1 {
 		T = 1
@@ -177,7 +177,8 @@ type FullDataFWOptions struct {
 	Domain polytope.Polytope
 	Eps    float64
 	Delta  float64
-	// T is the iteration count (0 → ⌈(nε)^{2/5}⌉, the [50]-style order).
+	// T is the iteration count (0 → ⌈(nε)^{2/5}⌉, the [50]-style order,
+	// clamped to [1, n]).
 	T int
 	// S is the robust truncation scale (0 → √(nε·τ/(√T·log(|V|·d·T/ζ)))).
 	S float64
@@ -224,7 +225,7 @@ func FullDataFWSource(src data.Source, opt FullDataFWOptions) ([]float64, error)
 		opt.Zeta = 0.05
 	}
 	if opt.T == 0 {
-		opt.T = int(math.Ceil(math.Pow(float64(n)*opt.Eps, 0.4)))
+		opt.T = defaultT(math.Ceil(math.Pow(float64(n)*opt.Eps, 0.4)), n)
 	}
 	if opt.T < 1 {
 		opt.T = 1

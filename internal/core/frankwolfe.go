@@ -28,6 +28,14 @@ import (
 // option struct with a Trace field calls it for diagnostics and tests.
 type Trace func(t int, w []float64)
 
+// defaultT converts a theory-default iteration count, computed in float,
+// to an int clamped to [1, n]. Clamping before the conversion keeps an
+// ε large enough to overflow int (or an nε of +Inf) at n instead of
+// wrapping to a single iteration.
+func defaultT(t float64, n int) int {
+	return int(math.Max(1, math.Min(t, float64(n))))
+}
+
 // checkData is the shape check every entry point runs on its source
 // and options before any arithmetic: the data must be non-empty, and
 // the domain and initial iterate, where the options take them (dom and
@@ -107,7 +115,7 @@ func (o *FWOptions) fill(n, d int) error {
 		o.Zeta = 0.05
 	}
 	if o.T == 0 {
-		o.T = int(math.Cbrt(float64(n) * o.Eps))
+		o.T = defaultT(math.Cbrt(float64(n)*o.Eps), n)
 	}
 	if o.T < 1 {
 		o.T = 1
@@ -157,8 +165,8 @@ func FrankWolfeSource(src data.Source, opt FWOptions) ([]float64, error) {
 		avg = make([]float64, d)
 	}
 	// Per-run workspaces: fused gradient state, vertex selector, and the
-	// memoized ‖W‖₁ bound — everything the loop reuses, so iterations
-	// allocate nothing after the first.
+	// ‖W‖₁ bound, computed once — everything the loop reuses, so
+	// iterations allocate nothing after the first.
 	gs := newGradState(est, opt.Loss)
 	sel := newVertexSelector(opt.Domain, grad)
 	l1max := maxVertexL1(opt.Domain, vtx)

@@ -191,19 +191,14 @@ func TestMaxVertexL1(t *testing.T) {
 	if got := maxVertexL1(e, buf); got != 3 {
 		t.Errorf("scaled-simplex maxVertexL1 = %v", got)
 	}
-	// The generic scan is memoized per polytope: a second call must hit
-	// the cache (and still agree) even with a nil buffer.
 	if got := maxVertexL1(e, nil); got != 3 {
-		t.Errorf("memoized scaled-simplex maxVertexL1 = %v", got)
-	}
-	if _, ok := vertexL1Cache.Load(e); !ok {
-		t.Error("scaled simplex not memoized")
+		t.Errorf("scaled-simplex maxVertexL1 with a nil buffer = %v", got)
 	}
 }
 
-// scaledSimplex is the simplex stretched by Scale: a comparable
-// polytope no kernel special-cases, so it takes the generic vertex
-// selector and maxVertexL1's memoized scan.
+// scaledSimplex is the simplex stretched by Scale: a polytope no kernel
+// special-cases, so it takes the generic vertex selector and
+// maxVertexL1's vertex scan.
 type scaledSimplex struct {
 	polytope.Simplex
 	Scale float64

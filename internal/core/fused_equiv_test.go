@@ -80,7 +80,8 @@ func refFrankWolfeSource(src data.Source, opt FWOptions) ([]float64, error) {
 	return w, nil
 }
 
-// refMaxVertexL1 is the pre-memoization vertex-norm scan.
+// refMaxVertexL1 is the reference vertex-norm scan: maxVertexL1 without
+// the caller's buffer.
 func refMaxVertexL1(p polytope.Polytope) float64 {
 	switch q := p.(type) {
 	case polytope.L1Ball:
@@ -247,7 +248,7 @@ func TestFusedFrankWolfeBitIdentical(t *testing.T) {
 }
 
 // TestFusedFrankWolfeExplicitDomain covers the generic (non-ℓ1-ball)
-// vertex selector and the memoized maxVertexL1 against the reference,
+// vertex selector and maxVertexL1's vertex scan against the reference,
 // on a caller-defined domain no kernel special-cases.
 func TestFusedFrankWolfeExplicitDomain(t *testing.T) {
 	ds := equivData(t)

@@ -21,8 +21,8 @@ type LassoOptions struct {
 	Eps    float64
 	Delta  float64
 
-	// T is the iteration count (0 → the Theorem-5 default ⌈(nε)^{2/5}⌉,
-	// clamped to [1, 10·(nε)^{2/5}] for sanity).
+	// T is the iteration count (0 → the Theorem-5 default ⌈(nε)^{2/5}⌉
+	// clamped to [1, n]; values below 1 → 1).
 	T int
 	// K is the shrinkage threshold (0 → the Theorem-5 default
 	// (nε)^{1/4} / T^{1/8}).
@@ -55,7 +55,7 @@ func (o *LassoOptions) fill(n, d int) error {
 	}
 	ne := float64(n) * o.Eps
 	if o.T == 0 {
-		o.T = int(math.Ceil(math.Pow(ne, 0.4)))
+		o.T = defaultT(math.Ceil(math.Pow(ne, 0.4)), n)
 	}
 	if o.T < 1 {
 		o.T = 1

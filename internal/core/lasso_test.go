@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,4 +110,67 @@ func TestLassoEpsMonotone(t *testing.T) {
 	if lo, hi := avg(0.1, 10), avg(4, 20); hi > lo {
 		t.Fatalf("excess at ε=4 (%v) worse than ε=0.1 (%v)", hi, lo)
 	}
+}
+
+// TestDefaultTClampedAtN: at a huge ε the theory-default iteration
+// counts of Algorithm 2, Algorithm 1 and the full-data variant stop at
+// n. Unclamped, ⌈(nε)^{2/5}⌉ asks for millions of full-data passes at
+// ε = 1e15, and at ε = 1e300 the float-to-int conversion overflows and
+// the run silently takes one step. The estimate must stay finite.
+func TestDefaultTClampedAtN(t *testing.T) {
+	const n, d = 60, 5
+	ds := linearL1Workload(21, n, d)
+	dom := polytope.NewL1Ball(d, 1)
+	for _, eps := range []float64{1e15, 1e300} {
+		runs := map[string]func(Trace) ([]float64, error){
+			"lasso": func(tr Trace) ([]float64, error) {
+				return LassoSource(data.NewMemSource(ds), LassoOptions{Eps: eps, Delta: 1e-5, Rng: randx.New(22), Trace: tr})
+			},
+			"fw": func(tr Trace) ([]float64, error) {
+				return FrankWolfeSource(data.NewMemSource(ds), FWOptions{Loss: loss.Squared{}, Domain: dom, Eps: eps, Rng: randx.New(23), Trace: tr})
+			},
+			"fulldata-fw": func(tr Trace) ([]float64, error) {
+				return FullDataFWSource(data.NewMemSource(ds), FullDataFWOptions{
+					Loss: loss.Squared{}, Domain: dom, Eps: eps, Delta: 1e-5, Rng: randx.New(24), Trace: tr,
+				})
+			},
+		}
+		for name, run := range runs {
+			w, iters, err := itersUpTo(n, run)
+			if err != nil {
+				t.Fatalf("%s at ε=%g: %v", name, eps, err)
+			}
+			if iters != n {
+				t.Errorf("%s at ε=%g ran %d iterations, want n = %d", name, eps, iters, n)
+			}
+			for j, v := range w {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("%s at ε=%g: w[%d] = %v", name, eps, j, v)
+				}
+			}
+		}
+	}
+}
+
+// errPastLimit aborts a run that itersUpTo caught past its limit.
+var errPastLimit = errors.New("past the iteration limit")
+
+// itersUpTo runs fit with a Trace that counts its iterations, aborting
+// the run once it passes limit, so a runaway default fails fast instead
+// of running on.
+func itersUpTo(limit int, fit func(Trace) ([]float64, error)) (w []float64, iters int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errPastLimit {
+				panic(r)
+			}
+			w, err = nil, fmt.Errorf("still running after %d iterations", limit)
+		}
+	}()
+	w, err = fit(func(int, []float64) {
+		if iters++; iters > limit {
+			panic(errPastLimit)
+		}
+	})
+	return w, iters, err
 }

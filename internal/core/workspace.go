@@ -1,9 +1,6 @@
 package core
 
 import (
-	"reflect"
-	"sync"
-
 	"htdp/internal/data"
 	"htdp/internal/dp"
 	"htdp/internal/loss"
@@ -19,7 +16,7 @@ import (
 // robust-gradient state (gradState), the Frank–Wolfe margins carried
 // across iterations (fwMargins), the vertex-selection state
 // (vertexSelector), the clipped-gradient reduction of the baselines
-// (gradSum), and the memoized vertex-norm bound (maxVertexL1). Every
+// (gradSum), and the vertex-norm bound (maxVertexL1). Every
 // helper is created once per run, before the iteration loop, and owns
 // its buffers and loop closures for the run's lifetime; none are safe
 // for concurrent use. See DESIGN.md, "Performance".
@@ -237,29 +234,17 @@ func (g *gradSum) run(dst, w []float64, ck *data.Dataset, workers int) {
 	g.w, g.ck = nil, nil
 }
 
-// vertexL1Cache memoizes maxVertexL1 for generic (vertex-enumerated)
-// polytopes, keyed by the Polytope value itself: the scan is O(|V|·d)
-// and polytopes are immutable for the lifetime of a run, so one scan
-// per distinct polytope suffices for the whole process.
-var vertexL1Cache sync.Map
-
 // maxVertexL1 returns max_v ‖v‖₁ over the vertex set — the ‖W‖₁ factor
 // in the score sensitivity |u(D,v) − u(D′,v)| ≤ ‖v‖₁·‖g̃−g̃′‖∞. The
 // built-in domains are answered in O(1); other polytopes are scanned
-// once into buf (len ≥ Dim; nil allocates) and memoized when their
-// concrete type is comparable.
+// into buf (len ≥ Dim; nil allocates), once per run — about the cost
+// of one iteration's vertex selection.
 func maxVertexL1(p polytope.Polytope, buf []float64) float64 {
 	switch q := p.(type) {
 	case polytope.L1Ball:
 		return q.Radius
 	case polytope.Simplex:
 		return 1
-	}
-	cacheable := reflect.TypeOf(p).Comparable()
-	if cacheable {
-		if v, ok := vertexL1Cache.Load(p); ok {
-			return v.(float64)
-		}
 	}
 	if len(buf) < p.Dim() {
 		buf = make([]float64, p.Dim())
@@ -270,9 +255,6 @@ func maxVertexL1(p polytope.Polytope, buf []float64) float64 {
 		if n := vecmath.Norm1(p.Vertex(i, buf)); n > m {
 			m = n
 		}
-	}
-	if cacheable {
-		vertexL1Cache.Store(p, m)
 	}
 	return m
 }

@@ -41,8 +41,7 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 // TestSweepPreCancelled: an already-cancelled context stops the sweep
-// at the series entry check — zero trials run, and a multi-panel Run
-// body stops between panels without any per-experiment code.
+// before its first trial — zero trials run.
 func TestSweepPreCancelled(t *testing.T) {
 	cause := errors.New("already cancelled")
 	ctx, cancel := context.WithCancelCause(context.Background())

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"htdp/internal/data"
 	"htdp/internal/parallel"
 	"htdp/internal/randx"
 )
@@ -52,7 +51,8 @@ func pointSeed(seed, seedOff int64, xi, rep int) int64 {
 // safeTrial evaluates one trial with a recover barrier on the calling
 // goroutine — the fix for the crash class where a trial panic inside a
 // sweep worker could kill the whole process, because every recover
-// (RunSweep's, the serving scheduler's) sat on a different goroutine.
+// (the panel runner's, the serving scheduler's) sat on a different
+// goroutine.
 func safeTrial(f trialFn, r *randx.RNG, x float64) (y float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -140,17 +140,4 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 		return nil, err
 	}
 	return results, nil
-}
-
-// openSource opens a trial's data source for one grid point from the
-// factory with the given seed and wraps it with the sweep's context (a
-// no-op wrapper when Config.Ctx is nil), so a long trial observes
-// cancellation at every chunk read — within a point, not only between
-// points. The caller owns the returned source and must Close it.
-func (c Config) openSource(open func(seed int64) (data.Source, error), seed int64) (data.Source, error) {
-	src, err := open(seed)
-	if err != nil {
-		return nil, err
-	}
-	return data.WithContext(c.Ctx, src), nil
 }

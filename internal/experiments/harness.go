@@ -32,10 +32,10 @@ import (
 // Config controls the fidelity/cost trade-off of a run.
 type Config struct {
 	// Reps is the number of independent trials averaged per point
-	// (paper protocol: ≥20). 0 → 5.
+	// (paper protocol: ≥20; at least 1). 0 → 5.
 	Reps int
 	// Scale multiplies every sample size relative to the paper's
-	// (0 < Scale ≤ 1). 0 → 0.1.
+	// (0 < Scale ≤ 1; NaN is rejected). 0 → 0.1.
 	Scale float64
 	// Seed is the base seed; every (panel, series, point, rep) derives a
 	// distinct deterministic stream from it. 0 → 1.
@@ -94,26 +94,23 @@ type Progress struct {
 	Panel string `json:"panel"`
 }
 
-// panelDone reports a finished panel to the Progress callback, if any.
-// Every Spec.Run body calls it once per panel, in panel order.
-func (c Config) panelDone(done, total int, p Panel) {
-	if c.Progress != nil {
-		c.Progress(Progress{Done: done, Total: total, Panel: p.Figure + "(" + p.Name + ")"})
-	}
-}
-
-// withDefaults resolves zero fields to their defaults and validates the
-// rest — an error, not a panic, so a bad config surfaces through
-// Spec.Run's error return like any other failure.
+// withDefaults resolves zero fields to their defaults (reps 5, scale
+// 0.1, seed 1) and rejects what no sweep can run: reps below 1, and a
+// scale that is NaN or outside (0, 1]. It is the one config check: the
+// panel runner applies it to every Spec.Run and SweepRequest.Canonical
+// to every request, so a bad knob is an error naming it, never a panic.
 func (c Config) withDefaults() (Config, error) {
 	if c.Reps == 0 {
 		c.Reps = 5
 	}
+	if c.Reps < 1 {
+		return c, fmt.Errorf("experiments: reps %d below 1", c.Reps)
+	}
 	if c.Scale == 0 {
 		c.Scale = 0.1
 	}
-	if c.Scale < 0 || c.Scale > 1 {
-		return c, fmt.Errorf("experiments: Scale %v outside (0,1]", c.Scale)
+	if !(c.Scale > 0 && c.Scale <= 1) {
+		return c, fmt.Errorf("experiments: scale %v outside (0,1]", c.Scale)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -150,7 +147,8 @@ type Panel struct {
 }
 
 // Spec is a runnable experiment. Run returns the completed panels or
-// the first trial failure; it never panics on data or algorithm errors.
+// the first failure (a bad config, a trial error); it never panics.
+// Every entry's Run is the panel runner that entry builds.
 type Spec struct {
 	ID          string
 	Description string
@@ -224,9 +222,10 @@ type SweepRequest struct {
 // Canonical validates the request and resolves every defaulted
 // result-relevant field to its effective value, zeroing the
 // scheduling-only fields (Parallelism, Async, TimeoutMS). Equal requests therefore
-// have equal canonical forms — the property response caches key on. It
-// mirrors Config.withDefaults but returns errors instead of panicking,
-// so a malformed request is a 400, not a crashed worker.
+// have equal canonical forms — the property response caches key on.
+// Reps, scale and seed go through Config.withDefaults, the check every
+// Spec.Run applies, so a malformed request is a 400, not a crashed
+// worker.
 func (q SweepRequest) Canonical() (SweepRequest, error) {
 	spec, err := Lookup(q.Experiment)
 	if err != nil {
@@ -235,21 +234,11 @@ func (q SweepRequest) Canonical() (SweepRequest, error) {
 	if q.Dataset != "" && !spec.UsesSource {
 		return q, fmt.Errorf("experiments: %s does not stream from a source; it ignores dataset %q (drop the field, or pick a source-streaming experiment such as \"streaming\")", spec.ID, q.Dataset)
 	}
-	if q.Reps == 0 {
-		q.Reps = 5
+	c, err := Config{Reps: q.Reps, Scale: q.Scale, Seed: q.Seed}.withDefaults()
+	if err != nil {
+		return q, err
 	}
-	if q.Reps < 1 {
-		return q, fmt.Errorf("experiments: reps %d below 1", q.Reps)
-	}
-	if q.Scale == 0 {
-		q.Scale = 0.1
-	}
-	if q.Scale < 0 || q.Scale > 1 {
-		return q, fmt.Errorf("experiments: scale %v outside (0,1]", q.Scale)
-	}
-	if q.Seed == 0 {
-		q.Seed = 1
-	}
+	q.Reps, q.Scale, q.Seed = c.Reps, c.Scale, c.Seed
 	if q.TimeoutMS < 0 {
 		return q, fmt.Errorf("experiments: timeout_ms %d is negative", q.TimeoutMS)
 	}
@@ -298,14 +287,6 @@ func RunSweep(ctx context.Context, q SweepRequest, src func(seed int64) (data.So
 	if err != nil {
 		return nil, err
 	}
-	// Backstop only: Spec.Run propagates failures as errors and the
-	// engine recovers trial panics on their own goroutine; this catches
-	// nothing but harness bugs on the calling goroutine itself.
-	defer func() {
-		if r := recover(); r != nil {
-			panels, err = nil, fmt.Errorf("experiments: %s failed: %v", spec.ID, r)
-		}
-	}()
 	cfg := q.Config(src)
 	cfg.Ctx = ctx
 	for _, p := range progress {
@@ -320,16 +301,70 @@ func RunSweep(ctx context.Context, q SweepRequest, src func(seed int64) (data.So
 	return panels, nil
 }
 
+// panel declares one sub-figure of a registry entry: its labels and the
+// series that sweep it. The runner (entry) names it and runs it.
+type panel struct {
+	title, xLabel, yLabel string
+	series                []series
+}
+
+// series declares one line of a panel: its grid, the seed offset from
+// which pointSeed derives each trial's stream (so an existing offset
+// never changes, and a new series takes an unused one), and the trial.
+type series struct {
+	name    string
+	xs      []float64
+	seedOff int64
+	trial   trialFn
+}
+
+// entry declares a registry entry as its panels, in order, each built
+// from the resolved config. Its Spec.Run is the one panel runner: it
+// resolves and validates the config, and for each panel in turn checks
+// for cancellation, builds the declaration — only after the previous
+// panel's sweeps, so an entry that generates a dataset per panel holds
+// one at a time — sweeps its series, names it (Figure = id, Name = a,
+// b, …) and reports it to Config.Progress. The first failure ends the
+// run with no panels; a panic while building a panel (trial panics are
+// the engine's, see safeTrial) comes back as an error too.
+func entry(id, desc string, panels ...func(Config) panel) Spec {
+	run := func(cfg Config) (out []Panel, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				out, err = nil, fmt.Errorf("panicked: %v", r)
+			}
+		}()
+		if cfg, err = cfg.withDefaults(); err != nil {
+			return nil, err
+		}
+		for i, build := range panels {
+			if cfg.context().Err() != nil {
+				return nil, context.Cause(cfg.context())
+			}
+			decl := build(cfg)
+			p := Panel{Figure: id, Name: string(rune('a' + i)), Title: decl.title, XLabel: decl.xLabel, YLabel: decl.yLabel}
+			for _, s := range decl.series {
+				swept, err := sweep(cfg, s.name, s.xs, s.seedOff, s.trial)
+				if err != nil {
+					return nil, err
+				}
+				p.Series = append(p.Series, swept)
+			}
+			out = append(out, p)
+			if cfg.Progress != nil {
+				cfg.Progress(Progress{Done: i + 1, Total: len(panels), Panel: id + "(" + p.Name + ")"})
+			}
+		}
+		return out, nil
+	}
+	return Spec{ID: id, Description: desc, Run: run}
+}
+
 // sweep evaluates one series: for every x it averages Reps trials, each
 // on its own deterministic RNG stream, scheduling trials through the
-// engine (engines.go). The first trial failure aborts the
-// series; so does a cancelled Config.Ctx — the up-front check here is
-// what stops a multi-panel Run body between panels without touching any
-// of the ~20 Run bodies themselves.
+// engine (engines.go). The first trial failure aborts the series; so
+// does a cancelled Config.Ctx.
 func sweep(cfg Config, name string, xs []float64, seedOff int64, f trialFn) (Series, error) {
-	if cfg.context().Err() != nil {
-		return Series{}, fmt.Errorf("series %s: %w", name, context.Cause(cfg.context()))
-	}
 	results, err := sweepBatched(cfg, xs, seedOff, f)
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", name, err)
@@ -342,22 +377,6 @@ func sweep(cfg Config, name string, xs []float64, seedOff int64, f trialFn) (Ser
 		s.Std[xi] = o.Std()
 	}
 	return s, nil
-}
-
-// addSeries runs one series sweep and appends it to the panel — unless
-// a previous series of the same Run body already failed, in which case
-// it does nothing and the latched first error is what Run returns.
-// Keeps the ~20 Run bodies flat instead of a pyramid of error returns.
-func addSeries(p *Panel, firstErr *error, cfg Config, name string, xs []float64, seedOff int64, f trialFn) {
-	if *firstErr != nil {
-		return
-	}
-	s, err := sweep(cfg, name, xs, seedOff, f)
-	if err != nil {
-		*firstErr = err
-		return
-	}
-	p.Series = append(p.Series, s)
 }
 
 // WriteTable renders a panel as an aligned text table, one row per x,

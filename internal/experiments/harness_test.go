@@ -6,8 +6,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"htdp/internal/data"
 	"htdp/internal/randx"
 )
 
@@ -66,6 +68,62 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if _, err := (Config{Scale: -0.5}).withDefaults(); err == nil {
 		t.Fatal("expected error for Scale < 0")
+	}
+}
+
+// TestRunRejectsBadConfig: every registry entry's Run answers reps below
+// 1 and a NaN scale with an error naming the knob, before any trial
+// (they panicked in newResults and in data.SimulatedReal, or ran NaN
+// as n = 100), and SweepRequest.Canonical applies the same check. A
+// panic while a panel is built comes back as an error too: fig3's
+// simulated dataset rejects the 0 that a subnormal scale rounds to.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, spec := range Registry() {
+		for knob, cfg := range map[string]Config{
+			"reps":  {Reps: -1, Scale: 0.01},
+			"scale": {Reps: 1, Scale: math.NaN()},
+		} {
+			panels, err := spec.Run(cfg)
+			if err == nil || !strings.Contains(err.Error(), knob) {
+				t.Errorf("%s with bad %s: error %v, want one naming %s", spec.ID, knob, err, knob)
+			}
+			if panels != nil {
+				t.Errorf("%s with bad %s returned panels", spec.ID, knob)
+			}
+		}
+	}
+	if _, err := (SweepRequest{Experiment: "fig1", Scale: math.NaN()}).Canonical(); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Errorf("Canonical accepted a NaN scale: %v", err)
+	}
+	spec, _ := Lookup("fig3")
+	if _, err := spec.Run(Config{Reps: 1, Scale: 5e-324}); err == nil || !strings.Contains(err.Error(), "SimulatedReal") {
+		t.Errorf("fig3 at a subnormal scale: error %v, want the dataset's", err)
+	}
+}
+
+// TestProgressAfterEachPanel: the k-th Progress event arrives once
+// panels 1..k have run all their trials and panel k+1 has started none,
+// counted by the opens of a source factory (one per trial).
+func TestProgressAfterEachPanel(t *testing.T) {
+	for id, want := range map[string][]int64{
+		// (a) 2 accountants × 5 batch sizes, then (b) 2 × 4 values of ε.
+		"dpsgd":     {10, 18},
+		"streaming": {2 * int64(len(epsGrid))},
+	} {
+		var opens atomic.Int64
+		open := func(int64) (data.Source, error) {
+			opens.Add(1)
+			return testRows(), nil
+		}
+		var got []int64
+		_, err := RunSweep(context.Background(), SweepRequest{Experiment: id, Reps: 1, Scale: 0.01}, open,
+			func(Progress) { got = append(got, opens.Load()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: opens at each progress event = %v, want %v", id, got, want)
+		}
 	}
 }
 

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"htdp/internal/core"
 	"htdp/internal/data"
 	"htdp/internal/loss"
-	"htdp/internal/polytope"
 	"htdp/internal/randx"
 )
 
@@ -21,79 +18,58 @@ import (
 // per process (see DESIGN.md, "Batched sweeps").
 
 func init() {
-	register(streamingSpec())
-}
-
-func streamingSpec() Spec {
-	return Spec{
-		ID:          "streaming",
-		Description: "Streaming sources: DP-FW and private LASSO consuming out-of-core chunks (GenSource default; -stream substitutes a CSV)",
-		UsesSource:  true,
-		Run: func(cfg Config) ([]Panel, error) {
-			cfg, err := cfg.withDefaults()
-			if err != nil {
-				return nil, err
-			}
+	s := entry("streaming",
+		"Streaming sources: DP-FW and private LASSO consuming out-of-core chunks (GenSource default; -stream substitutes a CSV)",
+		func(cfg Config) panel {
 			const d = 200
 			n := cfg.n(10000)
-			open := cfg.Source
-			backend := "gensource"
-			if open == nil {
-				open = func(seed int64) (data.Source, error) {
-					return data.LinearSource(seed, data.LinearOpt{
-						N: n, D: d,
-						Feature: randx.LogNormal{Mu: 0, Sigma: math.Sqrt(0.6)},
-						Noise:   randx.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
-					}), nil
-				}
-			} else {
-				backend = "config.source"
-			}
-			// Excess risk against the source's planted parameter when it
-			// has one (GenSource), else against the zero vector (CSV),
-			// both measured by streaming passes.
-			excess := func(w []float64, src data.Source) (float64, error) {
-				ref := data.WStarOf(src)
-				if ref == nil {
-					ref = make([]float64, src.D())
-				}
-				return loss.ExcessRiskSource(loss.Squared{}, w, ref, src, 0)
-			}
-			trial := func(r *randx.RNG, run func(src data.Source, rng *randx.RNG) ([]float64, error)) (float64, error) {
-				src, err := cfg.openSource(open, r.Int63())
-				if err != nil {
-					return 0, err
-				}
-				defer src.Close()
-				w, err := run(src, r.Split())
-				if err != nil {
-					return 0, err
-				}
-				return excess(w, src)
-			}
-			p := Panel{Figure: "streaming", Name: "a",
-				XLabel: "eps", YLabel: "excess risk",
-				Title: fmt.Sprintf("out-of-core chunks via %s, default n=%d, d=%d", backend, n, d)}
-			addSeries(&p, &err, cfg, "dpfw-stream", epsGrid, 0, func(r *randx.RNG, eps float64) (float64, error) {
-				return trial(r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
-					return core.FrankWolfeSource(src, core.FWOptions{
-						Loss: loss.Squared{}, Domain: polytope.NewL1Ball(src.D(), 1),
-						Eps: eps, Rng: rng,
-					})
-				})
-			})
-			addSeries(&p, &err, cfg, "lasso-stream", epsGrid, 1, func(r *randx.RNG, eps float64) (float64, error) {
-				return trial(r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
-					return core.LassoSource(src, core.LassoOptions{
-						Eps: eps, Delta: deltaFor(src.N()), Rng: rng,
-					})
-				})
-			})
-			if err != nil {
-				return nil, err
-			}
-			cfg.panelDone(1, 1, p)
-			return []Panel{p}, nil
-		},
+			return panel{fmt.Sprintf("out-of-core chunks via %s, default n=%d, d=%d", backend(cfg), n, d), "eps", "excess risk", []series{
+				{"dpfw-stream", epsGrid, 0, sourceTrial(cfg, n, d, fitFW)},
+				{"lasso-stream", epsGrid, 1, sourceTrial(cfg, n, d, fitLasso)},
+			}}
+		})
+	s.UsesSource = true
+	register(s)
+}
+
+// backend names where a source-streaming entry's rows come from, for
+// its panel titles.
+func backend(cfg Config) string {
+	if cfg.Source != nil {
+		return "config.source"
+	}
+	return "gensource"
+}
+
+// sourceTrial is the trial of the source-streaming entries. It opens the
+// trial's source from Config.Source, or else from a generator of n×d
+// rows of Figure 1's workload seeded by the trial, and wraps it with the
+// sweep's context, so a long trial observes cancellation at every chunk
+// read. It fits the source and measures the excess squared risk by a
+// streaming pass: against the source's planted parameter when it has
+// one (a generator), else against the zero vector (a CSV).
+func sourceTrial(cfg Config, n, d int, fit fitFn) trialFn {
+	open := cfg.Source
+	if open == nil {
+		open = func(seed int64) (data.Source, error) {
+			return data.LinearSource(seed, data.LinearOpt{N: n, D: d, Feature: fig1Features, Noise: linearNoise}), nil
+		}
+	}
+	return func(r *randx.RNG, x float64) (float64, error) {
+		src, err := open(r.Int63())
+		if err != nil {
+			return 0, err
+		}
+		src = data.WithContext(cfg.Ctx, src)
+		defer src.Close()
+		w, err := fit(src, r.Split(), x)
+		if err != nil {
+			return 0, err
+		}
+		ref := data.WStarOf(src)
+		if ref == nil {
+			ref = make([]float64, src.D())
+		}
+		return loss.ExcessRiskSource(loss.Squared{}, w, ref, src, 0)
 	}
 }

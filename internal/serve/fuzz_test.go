@@ -84,14 +84,14 @@ func FuzzRunRequestCanonicalHash(f *testing.F) {
 // ExecuteRun on a tiny in-memory dataset (48×6). Every body that
 // decodes must end in an error or in a result that json.Marshal
 // encodes, which also proves every number in it finite; no input may
-// panic. Bodies with T outside [1, 8], or with sstar > d for iht and
-// sparseopt, are skipped so that each input costs milliseconds (T = 0
-// resolves to a theory default, which for lasso grows with ε without
-// bound).
+// panic. Bodies with T above 8, or with sstar > d for iht and
+// sparseopt, are skipped so that each input costs milliseconds; T = 0
+// resolves to a theory default, which is at most n except for dpsgd's
+// 200 steps.
 //
 // Seeds: every algorithm, dpsgd under both accountants, with eps,
 // delta, clip and lr at the boundary values 5e-324, 1e-300, 1e300 and
-// MaxFloat64.
+// MaxFloat64, and with eps at those values under the default T.
 func FuzzExecuteRun(f *testing.F) {
 	algos := []string{`"algo":"fw"`, `"algo":"lasso"`, `"algo":"iht","sstar":3`, `"algo":"sparseopt","sstar":3`,
 		`"algo":"dpsgd","accountant":"compose","batch":8`, `"algo":"dpsgd","accountant":"rdp","batch":8`}
@@ -105,6 +105,7 @@ func FuzzExecuteRun(f *testing.F) {
 			for _, field := range fields {
 				f.Add([]byte(`{"dataset":"tiny",` + algo + `,"T":4,"` + field + `":` + v + `}`))
 			}
+			f.Add([]byte(`{"dataset":"tiny",` + algo + `,"eps":` + v + `}`))
 		}
 	}
 	const n, d = 48, 6
@@ -120,7 +121,7 @@ func FuzzExecuteRun(f *testing.F) {
 		if err := dec.Decode(&q); err != nil || dec.More() {
 			return
 		}
-		if q.T < 1 || q.T > 8 || ((q.Algo == "iht" || q.Algo == "sparseopt") && q.SStar > d) {
+		if q.T > 8 || ((q.Algo == "iht" || q.Algo == "sparseopt") && q.SStar > d) {
 			return
 		}
 		res, err := ExecuteRun(context.Background(), src, q)
