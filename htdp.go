@@ -121,8 +121,9 @@ func LogisticData(r *RNG, opt LogisticOpt) *Dataset { return data.LogisticModel(
 func SparseWStar(r *RNG, d, sStar int) []float64 { return data.SparseWStar(r, d, sStar) }
 
 // SimulatedReal deterministically generates the stand-in for one of the
-// paper's UCI datasets (see DESIGN.md, "Substitutions").
-func SimulatedReal(r *RNG, spec RealSpec, scale float64) *Dataset {
+// paper's UCI datasets (see DESIGN.md, "Substitutions") at ⌈scale·N⌉
+// rows. A scale that is NaN or outside (0, 1] is an error.
+func SimulatedReal(r *RNG, spec RealSpec, scale float64) (*Dataset, error) {
 	return data.SimulatedReal(r, spec, scale)
 }
 

@@ -190,9 +190,15 @@ func TestFacadeSimulatedReal(t *testing.T) {
 	if len(specs) != 4 {
 		t.Fatalf("%d real specs", len(specs))
 	}
-	ds := htdp.SimulatedReal(htdp.NewRNG(3), specs[0], 0.01)
+	ds, err := htdp.SimulatedReal(htdp.NewRNG(3), specs[0], 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds.D() != specs[0].D || ds.N() < 100 {
 		t.Fatalf("shape %dx%d", ds.N(), ds.D())
+	}
+	if _, err := htdp.SimulatedReal(htdp.NewRNG(3), specs[0], math.NaN()); err == nil {
+		t.Fatal("NaN scale accepted")
 	}
 }
 

@@ -162,7 +162,7 @@ func TestRegistryHasFiguresAndKernels(t *testing.T) {
 	want := []string{"fig:fig1", "fig:fig11", "fig:lowerbound", "data:gen-chunk", "data:gen-rowat",
 		"data:pool-csv-pass", "data:pool-csv-rowat", "kernel:catoni-chunk-seq",
 		"kernel:expmech-l1", "kernel:fw-run-par", "kernel:matvec", "kernel:peeling", "kernel:rdp-sigma",
-		"iter:lasso", "iter:nonprivate-fw"}
+		"iter:lasso", "iter:iht", "iter:nonprivate-fw"}
 	have := make(map[string]bool, len(names))
 	for _, n := range names {
 		have[n] = true

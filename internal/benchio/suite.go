@@ -65,6 +65,7 @@ func init() {
 	Register("kernel:fw-run-par", benchFWRun(0))
 
 	Register("iter:lasso", benchIterLasso)
+	Register("iter:iht", benchIterIHT)
 	Register("iter:nonprivate-fw", benchIterNonprivateFW)
 }
 
@@ -358,13 +359,53 @@ var iterData = sync.OnceValue(func() *data.Dataset {
 // benchIterLasso measures one warm Algorithm 2 iteration on iterData
 // with the sequential engine: a run of b.N+1 iterations whose timer
 // and allocation counters restart when the first iteration's Trace
-// fires, so setup (the whole-set shrink) and the first pass, which
-// primes the carried residual, are not counted.
+// fires, so setup and the first pass, which primes the carried residual
+// and copies the shrunken dirty rows, are not counted.
 func benchIterLasso(b *testing.B) {
 	ds := iterData()
 	b.ReportAllocs()
 	if _, err := core.LassoSource(data.NewMemSource(ds), core.LassoOptions{
 		Eps: 1, Delta: 1e-5, T: b.N + 1, Parallelism: 1, Rng: randx.New(8),
+		Trace: func(t int, _ []float64) {
+			if t == 1 {
+				b.ResetTimer()
+			}
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// ihtChunkRows is the chunk iter:iht steps on: iterData's rows split
+// nine ways, the default T = ⌊ln 9000⌋.
+const ihtChunkRows = 1000
+
+// ihtChunks serves an Algorithm 3 run of T iterations T chunks of
+// ihtChunkRows rows each, cycling through iterData's nine, so every
+// iteration steps on a chunk of the same size whatever b.N is. Only
+// N and Chunk are meaningful; the run calls nothing else.
+type ihtChunks struct {
+	*data.MemSource
+	T int
+}
+
+func (s ihtChunks) N() int { return s.T * ihtChunkRows }
+
+func (s ihtChunks) Chunk(t, _ int) (*data.Dataset, error) {
+	return s.MemSource.Chunk(t%9, 9)
+}
+
+// benchIterIHT measures one warm Algorithm 3 iteration on a
+// 1000-row chunk of iterData with the sequential engine, timed like
+// iter:lasso: a run of b.N+1 iterations whose counters restart when the
+// first iteration's Trace fires. An iteration shrinks its chunk's dirty
+// rows, runs the mat-vec pair, and peels s = 20 of d = 200 coordinates.
+// K stays at (ihtChunkRows·ε/s)^{1/4} for every b.N.
+func benchIterIHT(b *testing.B) {
+	src := ihtChunks{MemSource: data.NewMemSource(iterData()), T: b.N + 1}
+	b.ReportAllocs()
+	if _, err := core.SparseLinRegSource(src, core.SparseLinRegOptions{
+		Eps: 1, Delta: 1e-5, SStar: 10, T: src.T, Parallelism: 1, Rng: randx.New(9),
 		Trace: func(t int, _ []float64) {
 			if t == 1 {
 				b.ResetTimer()

@@ -42,14 +42,14 @@ func NonprivateFW(ds *data.Dataset, l loss.Loss, p polytope.Polytope, T int, w0 
 	}
 	var margins *fwMargins
 	if ml, ok := loss.AsMargin(l); ok && ml.RegCoeff() == 0 && n > 0 {
-		margins = newFWMargins(n, false)
+		margins = newFWMargins(n, d, math.Inf(1), true, false)
 		C := data.StreamChunks(n)
 		scales := make([]float64, data.MaxChunkRows(n, C))
 		part := make([]float64, d)
 		var mw vecmath.MatWorkspace
 		chunkBody := func(c int, ck *data.Dataset) error {
-			z := margins.chunk(c, ck, w, &mw, 0)
-			mw.MatTVec(part, ck.X, loss.ScalesFromMargins(ml, scales[:len(z)], z, ck.Y), 0)
+			rows, z := margins.chunk(c, ck, w, &mw, 0)
+			mw.MatTVecRows(part, rows, loss.ScalesFromMargins(ml, scales[:len(z)], z, ck.Y), 0)
 			vecmath.Axpy(1, part, grad)
 			return nil
 		}
@@ -121,7 +121,7 @@ type TalwarFWOptions struct {
 	Domain    polytope.Polytope
 	Eps       float64
 	Delta     float64
-	T         int     // 0 → ⌈(nε)^{2/3}⌉ (their theory-optimal order)
+	T         int     // 0 → ⌈(nε)^{2/3}⌉ (their theory-optimal order) clamped to [1, n]; values below 1 → 1
 	GradBound float64 // ℓ∞ clip per sample gradient; 0 → 1
 	W0        []float64
 	// Parallelism is the worker count for the clipped-gradient sum
@@ -150,7 +150,7 @@ func TalwarDPFWSource(src data.Source, opt TalwarFWOptions) ([]float64, error) {
 		return nil, err
 	}
 	if opt.T == 0 {
-		opt.T = int(math.Ceil(math.Pow(float64(n)*opt.Eps, 2.0/3)))
+		opt.T = defaultT(math.Ceil(math.Pow(float64(n)*opt.Eps, 2.0/3)), n)
 	}
 	if opt.T < 1 {
 		opt.T = 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -213,6 +214,10 @@ func TestDPGDDefaultsApplied(t *testing.T) {
 	}
 }
 
+// TestTalwarDefaultT: T = 0 takes ⌈(nε)^{2/3}⌉ clamped to [1, n] in
+// float before the conversion to int, so an ε large enough to overflow
+// int runs n passes, not an unbounded count or, after a wrapped
+// conversion, a single one.
 func TestTalwarDefaultT(t *testing.T) {
 	ds := linearL1Workload(14, 1000, 4)
 	opt := TalwarFWOptions{
@@ -222,5 +227,37 @@ func TestTalwarDefaultT(t *testing.T) {
 	if _, err := TalwarDPFWSource(data.NewMemSource(ds), opt); err != nil {
 		t.Fatal(err)
 	}
-	_ = math.Pow // keep math import if unused elsewhere
+	small := linearL1Workload(16, 48, 4)
+	for _, eps := range []float64{1e15, 1e300} {
+		src := &passCounter{Source: data.NewMemSource(small), limit: small.N()}
+		opt.Eps, opt.Rng = eps, randx.New(17)
+		w, err := TalwarDPFWSource(src, opt)
+		if err != nil {
+			t.Fatalf("ε=%g: %v", eps, err)
+		}
+		if src.passes != small.N() {
+			t.Errorf("ε=%g: %d passes, want n = %d", eps, src.passes, small.N())
+		}
+		for j, x := range w {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("ε=%g: w[%d] = %v", eps, j, x)
+			}
+		}
+	}
+}
+
+// passCounter counts the full-data passes over a source of one stream
+// chunk (its Chunk(0, 1) loads) and fails the load that would start
+// pass limit+1.
+type passCounter struct {
+	data.Source
+	passes, limit int
+}
+
+func (p *passCounter) Chunk(t, T int) (*data.Dataset, error) {
+	if p.passes == p.limit {
+		return nil, fmt.Errorf("pass %d past the limit of %d", p.passes+1, p.limit)
+	}
+	p.passes++
+	return p.Source.Chunk(t, T)
 }

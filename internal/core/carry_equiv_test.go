@@ -18,7 +18,7 @@ import (
 )
 
 // The carried-margins contract. LassoSource and NonprivateFW carry
-// u = X·w − b across iterations (fwMargins) instead of recomputing it
+// u = X̃·w − b across iterations (fwMargins) instead of recomputing it
 // with a MatVec on every chunk of every pass. The carried u differs
 // from a recomputed one by rounding, so the loops' decisions — the
 // exponential mechanism's Gumbel-max draw and ArgminLinear's argmin —
@@ -41,15 +41,20 @@ type fwRun struct {
 	ws  [][]float64 // iterate after each step
 }
 
-// twoPassLassoSource is LassoSource before the carry: every pass
-// computes r = X̃w − ỹ with MatVec before the MatTVec.
+// twoPassLassoSource is LassoSource before the carry, over the
+// whole-matrix shrinkage Dataset.Shrink instead of a row view: every
+// pass computes r = X̃w − ỹ with MatVec before the MatTVec.
 func twoPassLassoSource(src data.Source, opt LassoOptions) (fwRun, error) {
 	var run fwRun
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return run, err
 	}
 	n, d := src.N(), src.D()
-	sh := data.ShrinkSource(src, opt.K)
+	full, err := data.Materialize(src)
+	if err != nil {
+		return run, err
+	}
+	sh := data.NewMemSource(full.Shrink(opt.K))
 	C := data.StreamChunks(n)
 	epsIter := opt.Eps / (2 * math.Sqrt(2*float64(opt.T)*math.Log(1/opt.Delta)))
 	sens := 8 * maxVertexL1(opt.Domain, nil) * opt.K * opt.K / float64(n)
@@ -141,18 +146,20 @@ func (r recordingPolytope) Vertex(i int, dst []float64) []float64 {
 	return r.Polytope.Vertex(i, dst)
 }
 
-// carriedDeviation replays a recorded run through an fwMargins the way
-// the production loops drive it — one pass per step, then the step —
-// plus one last pass, which brings u to X·w_T − b. It returns the
-// largest |u − recomputed| relative to each row's bound ρ·‖xᵢ‖∞ + |bᵢ|
-// (an exact match counts 0 even where the bound is 0). The replay
-// calls the production code on the production sequence, so its u is
-// the production run's, bit for bit.
-func carriedDeviation(t *testing.T, src data.Source, labels bool, w0 []float64, p polytope.Polytope, run fwRun, workers int) float64 {
+// carriedDeviation replays a recorded run through an fwMargins at
+// shrinkage k over ds the way the production loops drive it — one pass
+// per step, then the step — plus one last pass, which brings u to
+// X̃·w_T − b. It returns the largest |u − recomputed| relative to each
+// row's bound ρ·‖x̃ᵢ‖∞ + |bᵢ| (an exact match counts 0 even where the
+// bound is 0), recomputing over ds.Shrink(k). The replay calls the
+// production code on the production sequence, so its u is the
+// production run's, bit for bit.
+func carriedDeviation(t *testing.T, ds *data.Dataset, k float64, labels bool, w0 []float64, p polytope.Polytope, run fwRun, workers int) float64 {
 	t.Helper()
+	src, shrunk := data.NewMemSource(ds), ds.Shrink(k)
 	n, d := src.N(), src.D()
 	rho := math.Max(maxVertexL1(p, nil), vecmath.Norm1(w0))
-	fm := newFWMargins(n, labels)
+	fm := newFWMargins(n, d, k, true, labels)
 	var mw vecmath.MatWorkspace
 	w := vecmath.Clone(w0)
 	vtx := make([]float64, d)
@@ -175,25 +182,42 @@ func carriedDeviation(t *testing.T, src data.Source, labels bool, w0 []float64, 
 	}
 	var worst float64
 	pass(func(c int, ck *data.Dataset) {
-		u := fm.chunk(c, ck, w, &mw, workers)
-		z := mw.MatVec(make([]float64, ck.N()), ck.X, w, workers)
+		_, u := fm.chunk(c, ck, w, &mw, workers)
+		lo, hi := data.ChunkBounds(c, C, n)
+		sk := shrunk.Subset(lo, hi)
+		z := mw.MatVec(make([]float64, sk.N()), sk.X, w, workers)
 		for i := range u {
 			var b float64
 			if labels {
-				b = ck.Y[i]
+				b = sk.Y[i]
 			}
 			dev := math.Abs(u[i] - (z[i] - b))
 			if dev == 0 {
 				continue
 			}
 			var xmax float64
-			for _, x := range ck.X.Row(i) {
+			for _, x := range sk.X.Row(i) {
 				xmax = math.Max(xmax, math.Abs(x))
 			}
 			worst = math.Max(worst, dev/(rho*xmax+math.Abs(b)))
 		}
 	})
 	return worst
+}
+
+// shrinkGrid returns the shrinkage thresholds the equivalence grids run
+// at: below every entry of ds's features and labels (every row dirty),
+// 0 (the algorithm's default), and above every entry (none dirty).
+func shrinkGrid(ds *data.Dataset) []float64 {
+	lo, hi := math.Inf(1), 0.0
+	for _, vs := range [][]float64{ds.X.Data, ds.Y} {
+		for _, v := range vs {
+			if a := math.Abs(v); a > 0 {
+				lo, hi = math.Min(lo, a), math.Max(hi, a)
+			}
+		}
+	}
+	return []float64{lo / 2, 0, 2 * hi}
 }
 
 // carryGridN runs from one row to two stream chunks of unequal size,
@@ -267,54 +291,67 @@ func TestCarriedMarginsMatchTwoPass(t *testing.T) {
 }
 
 // checkCarriedLasso compares LassoSource on every backend with the
-// two-pass loop over the in-memory rows (TestSourceEquivalence pins
-// the backends to each other), at workers 1 and 4, from w = 0 and from
-// a dense W0, at T = 1, 8 and 60. The streamed backends regenerate or
-// re-parse every chunk of every pass, so past one stream chunk they
-// run T = 1 and 8 only. Equal iterates after every step mean equal
-// vertices at every step: η ≥ 1/31 keeps any vertex's pull on w far
-// above rounding. The carried residual is checked on the in-memory
-// rows; the other backends serve the same chunk bytes.
+// two-pass loop over Dataset.Shrink of the in-memory rows
+// (TestSourceEquivalence pins the backends to each other), at workers
+// 1 and 4, from w = 0 and from a dense W0, at T = 1, 8 and 60, with K
+// at the default. With K below and above every entry (every row of the
+// shrunken-row view a copy, or none) it runs T = 8 at workers 1: the
+// view is per row, so the worker count does not enter it. The streamed
+// backends regenerate or re-parse every chunk of every pass, so past
+// one stream chunk they run T = 1 and 8 only. Equal iterates after
+// every step mean equal vertices at every step: η ≥ 1/31 keeps any
+// vertex's pull on w far above rounding. The carried residual is
+// checked on the in-memory rows; the other backends serve the same
+// chunk bytes.
 func checkCarriedLasso(t *testing.T, srcs map[string]data.Source) float64 {
 	var worst float64
 	mem := srcs["mem"]
+	full, err := data.Materialize(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, d := mem.N(), mem.D()
 	ball := polytope.NewL1Ball(d, 1)
-	for _, workers := range []int{1, 4} {
-		for _, w0 := range [][]float64{nil, carryW0(ball)} {
-			for _, T := range []int{1, 8, 60} {
-				ref := LassoOptions{Eps: 1, Delta: 1e-5, T: T, W0: w0, Parallelism: workers, Rng: randx.New(int64(T + d))}
-				want, err := twoPassLassoSource(mem, ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, backend := range []string{"mem", "gen", "csv"} {
-					if backend != "mem" && n > data.StreamRows && T > 8 {
+	for _, k := range shrinkGrid(full) {
+		for _, workers := range []int{1, 4} {
+			for _, w0 := range [][]float64{nil, carryW0(ball)} {
+				for _, T := range []int{1, 8, 60} {
+					if k != 0 && (T != 8 || workers != 1) {
 						continue
 					}
-					ctx := fmt.Sprintf("%s workers=%d w0=%v T=%d", backend, workers, w0 != nil, T)
-					opt := ref
-					opt.Rng = randx.New(int64(T + d))
-					var ws [][]float64
-					opt.Trace = func(_ int, w []float64) { ws = append(ws, vecmath.Clone(w)) }
-					if _, err := LassoSource(srcs[backend], opt); err != nil {
+					ref := LassoOptions{Eps: 1, Delta: 1e-5, T: T, K: k, W0: w0, Parallelism: workers, Rng: randx.New(int64(T + d))}
+					want, err := twoPassLassoSource(mem, ref)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if len(ws) != len(want.ws) {
-						t.Fatalf("%s: %d steps, want %d", ctx, len(ws), len(want.ws))
+					for _, backend := range []string{"mem", "gen", "csv"} {
+						if backend != "mem" && n > data.StreamRows && T > 8 {
+							continue
+						}
+						ctx := fmt.Sprintf("%s K=%g workers=%d w0=%v T=%d", backend, k, workers, w0 != nil, T)
+						opt := ref
+						opt.Rng = randx.New(int64(T + d))
+						var ws [][]float64
+						opt.Trace = func(_ int, w []float64) { ws = append(ws, vecmath.Clone(w)) }
+						if _, err := LassoSource(srcs[backend], opt); err != nil {
+							t.Fatal(err)
+						}
+						if len(ws) != len(want.ws) {
+							t.Fatalf("%s: %d steps, want %d", ctx, len(ws), len(want.ws))
+						}
+						for s := range ws {
+							mustEqualBits(t, ws[s], want.ws[s], fmt.Sprintf("%s step %d (reference vertex %d)", ctx, s+1, want.idx[s]))
+						}
 					}
-					for s := range ws {
-						mustEqualBits(t, ws[s], want.ws[s], fmt.Sprintf("%s step %d (reference vertex %d)", ctx, s+1, want.idx[s]))
+					if err := ref.fill(n, d); err != nil {
+						t.Fatal(err)
 					}
+					dev := carriedDeviation(t, full, ref.K, true, ref.W0, ball, want, workers)
+					if dev > carryTol {
+						t.Fatalf("K=%g workers=%d w0=%v T=%d: carried residual off by %.3g of the row bound, want ≤ %g", k, workers, w0 != nil, T, dev, carryTol)
+					}
+					worst = math.Max(worst, dev)
 				}
-				if err := ref.fill(n, d); err != nil {
-					t.Fatal(err)
-				}
-				dev := carriedDeviation(t, data.ShrinkSource(mem, ref.K), true, ref.W0, ball, want, workers)
-				if dev > carryTol {
-					t.Fatalf("workers=%d w0=%v T=%d: carried residual off by %.3g of the row bound, want ≤ %g", workers, w0 != nil, T, dev, carryTol)
-				}
-				worst = math.Max(worst, dev)
 			}
 		}
 	}
@@ -357,7 +394,7 @@ func checkCarriedNonprivateFW(t *testing.T, ds *data.Dataset) float64 {
 						if w0 == nil {
 							w0 = make([]float64, d)
 						}
-						dev := carriedDeviation(t, data.NewMemSource(ds), false, w0, p, want, 0)
+						dev := carriedDeviation(t, ds, math.Inf(1), false, w0, p, want, 0)
 						if dev > carryTol {
 							t.Fatalf("%s: carried margins off by %.3g of the row bound, want ≤ %g", ctx, dev, carryTol)
 						}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -99,14 +100,28 @@ func refMaxVertexL1(p polytope.Polytope) float64 {
 	return m
 }
 
+// shrunkSource is step 2 of Algorithms 2 and 3 as the listing states
+// it, the whole-matrix Dataset.Shrink of src, behind a MemSource.
+func shrunkSource(src data.Source, k float64) (data.Source, error) {
+	full, err := data.Materialize(src)
+	if err != nil {
+		return nil, err
+	}
+	return data.NewMemSource(full.Shrink(k)), nil
+}
+
 // refLassoSource is the pre-fusion Algorithm 2 loop (allocating blocked
-// kernels, closure-per-iteration exponential mechanism).
+// kernels, closure-per-iteration exponential mechanism) over the
+// whole-matrix shrinkage.
 func refLassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
 	n, d := src.N(), src.D()
-	sh := data.ShrinkSource(src, opt.K)
+	sh, err := shrunkSource(src, opt.K)
+	if err != nil {
+		return nil, err
+	}
 	C := data.StreamChunks(n)
 	epsIter := opt.Eps / (2 * math.Sqrt(2*float64(opt.T)*math.Log(1/opt.Delta)))
 	sens := 8 * refMaxVertexL1(opt.Domain) * opt.K * opt.K / float64(n)
@@ -141,13 +156,17 @@ func refLassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	return w, nil
 }
 
-// refSparseLinRegSource is the pre-fusion Algorithm 3 loop.
+// refSparseLinRegSource is the pre-fusion Algorithm 3 loop over the
+// whole-matrix shrinkage.
 func refSparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
 	d := src.D()
-	sh := data.ShrinkSource(src, opt.K)
+	sh, err := shrunkSource(src, opt.K)
+	if err != nil {
+		return nil, err
+	}
 	w := vecmath.Clone(opt.W0)
 	grad := make([]float64, d)
 	resid := make([]float64, data.MaxChunkRows(src.N(), opt.T))
@@ -270,8 +289,9 @@ func TestFusedFrankWolfeExplicitDomain(t *testing.T) {
 	}
 }
 
-// TestFusedLassoBitIdentical pins Algorithm 2's workspace kernels and
-// one-pass vertex scoring to the reference loop.
+// TestFusedLassoBitIdentical pins Algorithm 2's workspace kernels,
+// shrunken-row view and one-pass vertex scoring to the reference loop
+// over Dataset.Shrink.
 func TestFusedLassoBitIdentical(t *testing.T) {
 	ds := equivData(t)
 	for _, p := range []int{1, 3} {
@@ -291,22 +311,33 @@ func TestFusedLassoBitIdentical(t *testing.T) {
 }
 
 // TestFusedSparseLinRegBitIdentical pins Algorithm 3's workspace
-// kernels and reusable Peeling scratch to the reference loop.
+// kernels, shrunken-row view and reusable Peeling scratch to the
+// reference loop over Dataset.Shrink, on the Mem, Gen and CSV backends
+// with K below every entry (every row a shrunken copy), at the default,
+// and above every entry (none).
 func TestFusedSparseLinRegBitIdentical(t *testing.T) {
-	ds := equivData(t)
-	for _, p := range []int{1, 3} {
-		opt := SparseLinRegOptions{Eps: 1, Delta: 1e-5, SStar: 6, T: 5, Parallelism: p}
-		optRef := opt
-		opt.Rng, optRef.Rng = randx.New(33), randx.New(33)
-		got, err := SparseLinRegSource(data.NewMemSource(ds), opt)
-		if err != nil {
-			t.Fatal(err)
+	srcs := carrySources(t, 700, 45)
+	full, err := data.Materialize(srcs["mem"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range shrinkGrid(full) {
+		for _, p := range []int{1, 3} {
+			optRef := SparseLinRegOptions{Eps: 1, Delta: 1e-5, SStar: 6, T: 5, K: k, Parallelism: p, Rng: randx.New(33)}
+			want, err := refSparseLinRegSource(srcs["mem"], optRef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, backend := range []string{"mem", "gen", "csv"} {
+				opt := optRef
+				opt.Rng = randx.New(33)
+				got, err := SparseLinRegSource(srcs[backend], opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualBits(t, got, want, fmt.Sprintf("sparselinreg %s K=%g workers=%d", backend, k, p))
+			}
 		}
-		want, err := refSparseLinRegSource(data.NewMemSource(ds), optRef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualBits(t, got, want, "sparselinreg")
 	}
 }
 

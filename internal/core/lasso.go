@@ -78,9 +78,10 @@ func (o *LassoOptions) fill(n, d int) error {
 // LassoSource runs Heavy-tailed Private LASSO (Algorithm 2) over a
 // data source and returns w_T. The algorithm needs the full shrunken
 // data every iteration, so each round streams the source in
-// data.StreamChunks(n) chunks — shrinkage is applied per chunk on load
-// (entry-wise, so chunked equals whole-matrix shrinkage bit for bit)
-// and at most one chunk is resident. Privacy (Theorem 4): each
+// data.StreamChunks(n) chunks, read through a shrunken-row view
+// (shrunkRows: entry-wise, so it equals whole-matrix shrinkage bit for
+// bit) that holds copies of the dirty rows only, at most one chunk of
+// them over a streamed source. Privacy (Theorem 4): each
 // iteration's exponential mechanism runs at budget
 // ε/(2√(2T·log(1/δ))) on the full shrunken data, whose score
 // sensitivity is 8‖W‖₁K²/n; advanced composition over T rounds yields
@@ -90,9 +91,6 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 		return nil, err
 	}
 	n, d := src.N(), src.D()
-	// Step 2: entry-wise shrinkage of features and labels at K, applied
-	// lazily to every chunk.
-	sh := data.ShrinkSource(src, opt.K)
 	C := data.StreamChunks(n)
 	epsIter := opt.Eps / (2 * math.Sqrt(2*float64(opt.T)*math.Log(1/opt.Delta)))
 	if !(epsIter > 0) {
@@ -104,15 +102,23 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	grad := make([]float64, d)
 	part := make([]float64, d)
 	vtx := make([]float64, d)
-	// The residual r = X̃w − ỹ of all n rows is carried across
-	// iterations (fwMargins), so a pass reads each shrunken chunk once.
-	resid := newFWMargins(n, true)
+	// Step 2: entry-wise shrinkage of features and labels at K, read
+	// through the residual's view of each chunk. Over a bare MemSource,
+	// whose rows stay in memory for the run anyway, the view is
+	// resident: it builds each chunk's rows once and keeps copies of
+	// the dirty rows. Over any other source it holds one chunk of
+	// shrunken rows and re-shrinks each visited chunk's dirty rows. The
+	// residual r = X̃w − ỹ of all n rows is carried across iterations
+	// (fwMargins), so a pass reads each chunk once.
+	_, resident := src.(*data.MemSource)
+	resid := newFWMargins(n, d, opt.K, resident, true)
 	// Step 4's chunk body is hoisted with the run's MatWorkspace, so the
 	// T-iteration loop reuses one set of kernel buffers and closures.
 	var mw vecmath.MatWorkspace
 	chunkBody := func(c int, ck *data.Dataset) error {
-		r := resid.chunk(c, ck, w, &mw, opt.Parallelism)
-		mw.MatTVec(part, ck.X, r, opt.Parallelism)
+		rows, r := resid.chunk(c, ck, w, &mw, opt.Parallelism)
+		mw.MatTVecRows(part, rows, r, opt.Parallelism)
+		resid.view.done()
 		vecmath.Axpy(1, part, grad)
 		return nil
 	}
@@ -124,7 +130,7 @@ func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 		// functions of n alone, so the gradient is bit-identical for
 		// every worker count and every backend.
 		vecmath.Zero(grad)
-		if err := data.EachChunk(sh, C, chunkBody); err != nil {
+		if err := data.EachChunk(src, C, chunkBody); err != nil {
 			return nil, fmt.Errorf("core: Lasso: %w", err)
 		}
 		vecmath.Scale(grad, 2/float64(n))

@@ -93,9 +93,10 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 
 // SparseLinRegSource runs Heavy-tailed Private Sparse Linear Regression
 // (Algorithm 3) over a data source and returns w_{T+1}. Iteration t
-// loads only chunk t−1 of T, shrunken on load (entry-wise, so per-chunk
-// shrinkage equals the listing's whole-data shrinkage bit for bit), so
-// at most one chunk is resident. Privacy (Theorem 6): each iteration
+// loads only chunk t−1 of T and reads it through a shrunken-row view
+// (shrunkRows: entry-wise, so it equals the listing's whole-data
+// shrinkage bit for bit) whose copies fill at most one chunk, so at
+// most one chunk is resident. Privacy (Theorem 6): each iteration
 // touches a disjoint chunk and the Peeling call is calibrated to the
 // ℓ∞-sensitivity 2K²η₀(√s+1)/m of the gradient step, so the whole run
 // is (ε, δ)-DP.
@@ -104,9 +105,9 @@ func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, er
 		return nil, err
 	}
 	d := src.D()
-	// Step 2: shrink (lazily, per chunk), then step 3: consume T
-	// disjoint chunks.
-	sh := data.ShrinkSource(src, opt.K)
+	// Step 2: shrink, read through a view of each chunk, then step 3:
+	// consume T disjoint chunks.
+	view := newShrunkRows(opt.K, d, src.N(), opt.T, false)
 
 	w := vecmath.Clone(opt.W0)
 	grad := make([]float64, d)
@@ -118,19 +119,21 @@ func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, er
 	var ps peelScratch
 	wNext := make([]float64, d)
 	for t := 1; t <= opt.T; t++ {
-		part, err := sh.Chunk(t-1, opt.T)
+		part, err := src.Chunk(t-1, opt.T)
 		if err != nil {
 			return nil, fmt.Errorf("core: SparseLinReg chunk %d/%d: %w", t-1, opt.T, err)
 		}
 		m := part.N()
+		rows, y := view.load(t-1, part)
 		// Step 5: w_{t+0.5} = w_t − (η₀/m)·Σ x̃(⟨x̃, w_t⟩ − ỹ),
 		// via the register-blocked pair r = X̃w − ỹ, grad = X̃ᵀr.
 		r := resid[:m]
-		mw.MatVec(r, part.X, w, opt.Parallelism)
+		mw.MatVecRows(r, rows, w, opt.Parallelism)
 		for i := 0; i < m; i++ {
-			r[i] -= part.Y[i]
+			r[i] -= y[i]
 		}
-		mw.MatTVec(grad, part.X, r, opt.Parallelism)
+		mw.MatTVecRows(grad, rows, r, opt.Parallelism)
+		view.done()
 		vecmath.Axpy(-opt.Eta0/float64(m), grad, w)
 		// Step 6: Peeling with λ = 2K²η₀(√s+1)/m.
 		lambda := 2 * opt.K * opt.K * opt.Eta0 * (math.Sqrt(float64(opt.S)) + 1) / float64(m)

@@ -13,7 +13,8 @@ import (
 
 // This file holds the per-run iteration workspaces that make the
 // algorithms' steady-state loops allocation-free: the fused
-// robust-gradient state (gradState), the Frank–Wolfe margins carried
+// robust-gradient state (gradState), the shrunken-row view of
+// Algorithms 2 and 3 (shrunkRows), the Frank–Wolfe margins carried
 // across iterations (fwMargins), the vertex-selection state
 // (vertexSelector), the clipped-gradient reduction of the baselines
 // (gradSum), and the vertex-norm bound (maxVertexL1). Every
@@ -69,26 +70,146 @@ func (gs *gradState) estimate(dst, w []float64, ck *data.Dataset) {
 	gs.w, gs.cur = nil, nil
 }
 
-// fwMargins carries u = X·w − b across the iterations of a full-data
-// Frank–Wolfe loop whose gradient reads the data only through u: b = y
-// for Algorithm 2's residual, b = 0 for NonprivateFW's margins. A step
-// w ← (1−η)·w + η·v moves u to (1−η)·u + η·(X·v − b), and X·v reads
+// shrunkRows is a run's view of step 2 of Algorithms 2 and 3, the
+// entry-wise shrinkage x̃ᵢⱼ = sign(xᵢⱼ)·min(|xᵢⱼ|, K), ỹᵢ likewise,
+// without a shrunken copy of the data. For each chunk it hands the
+// kernels one slice per row: a row with no entry beyond ±K is read from
+// the chunk itself, and a dirty row (one with such an entry) from its
+// shrunken copy. The labels are clamped into y. Every view row holds
+// the floats of the shrunken row, so the kernels compute bit for bit
+// what they compute over Dataset.Shrink; K = +Inf leaves every row
+// clean.
+//
+// A resident view serves a source whose chunks are views of one
+// in-memory set (a bare MemSource). It builds each chunk's rows, ỹ and
+// dirty-row copies on the chunk's first visit, into slices over all n
+// rows, and hands the same slices back on every later visit; its copies
+// are of the dirty rows only, so never more than Dataset.Shrink's n×d.
+// Any other view holds one chunk: each visit rebuilds the rows and ỹ
+// and re-shrinks the chunk's dirty rows into slab, one chunk of rows
+// made up front, so its visits allocate nothing.
+type shrunkRows struct {
+	k        float64
+	d, n, C  int // features, rows, and chunks a pass: chunk c starts at row c·n/C
+	resident bool
+
+	rows  [][]float64 // the rows' slices: all n when resident, else the visited chunk's
+	y     []float64   // ỹ, likewise
+	slab  []float64   // a non-resident view's copies of the visited chunk's dirty rows
+	built int         // a resident view's chunks built so far, first visited in order
+	dirty []int       // a resident view's scratch: the building chunk's dirty rows
+}
+
+func newShrunkRows(k float64, d, n, C int, resident bool) *shrunkRows {
+	v := &shrunkRows{k: k, d: d, n: n, C: C, resident: resident}
+	rows := n
+	if !resident {
+		rows = data.MaxChunkRows(n, C)
+		v.slab = make([]float64, rows*d)
+	}
+	v.rows, v.y = make([][]float64, rows), make([]float64, rows)
+	return v
+}
+
+// load points the view at chunk c (ck) and returns its rows and ỹ:
+// valid for the run when the view is resident, else until the next
+// load.
+func (v *shrunkRows) load(c int, ck *data.Dataset) ([][]float64, []float64) {
+	m, d, lo := ck.N(), v.d, 0
+	if v.resident {
+		lo, _ = data.ChunkBounds(c, v.C, v.n)
+	}
+	rows, y := v.rows[lo:lo+m], v.y[lo:lo+m]
+	if v.resident && c < v.built {
+		return rows, y
+	}
+	for i := range rows {
+		rows[i] = ck.X.Data[i*d : (i+1)*d]
+	}
+	copy(y, ck.Y)
+	vecmath.Clip(y, v.k)
+	if !v.resident {
+		p := 0
+		for i, r := range rows {
+			if v.isDirty(r) {
+				rows[i] = v.shrink(v.slab[p*d:(p+1)*d], r)
+				p++
+			}
+		}
+		return rows, y
+	}
+	v.dirty = v.dirty[:0]
+	for i, r := range rows {
+		if v.isDirty(r) {
+			v.dirty = append(v.dirty, i)
+		}
+	}
+	copies := make([]float64, len(v.dirty)*d)
+	for j, i := range v.dirty {
+		rows[i] = v.shrink(copies[j*d:(j+1)*d], rows[i])
+	}
+	v.built++
+	return rows, y
+}
+
+// done drops a non-resident view's slices into the visited chunk once
+// the caller is through with them, so the view keeps no chunk alive
+// past its visit (a generating source makes a new one per call).
+func (v *shrunkRows) done() {
+	if !v.resident {
+		clear(v.rows)
+	}
+}
+
+// isDirty reports whether row r has an entry beyond ±K.
+func (v *shrunkRows) isDirty(r []float64) bool {
+	k := v.k
+	for _, x := range r {
+		if x > k || x < -k {
+			return true
+		}
+	}
+	return false
+}
+
+// shrink writes the shrunken row r into dst and returns dst: Clip's
+// clamp, fused with the copy.
+func (v *shrunkRows) shrink(dst, r []float64) []float64 {
+	k := v.k
+	dst = dst[:len(r)]
+	for j, x := range r {
+		if x > k {
+			x = k
+		} else if x < -k {
+			x = -k
+		}
+		dst[j] = x
+	}
+	return dst
+}
+
+// fwMargins carries u = X̃·w − b across the iterations of a full-data
+// Frank–Wolfe loop whose gradient reads the data only through u, over
+// the rows of a shrunkRows view at K: b = ỹ for Algorithm 2's residual,
+// b = 0 for NonprivateFW's margins (K = +Inf, so X̃ = X). A step
+// w ← (1−η)·w + η·v moves u to (1−η)·u + η·(X̃·v − b), and X̃·v reads
 // only v's nonzero coordinates — one column for a vertex of the ℓ1
 // ball or the simplex. So after the first iteration, a pass brings
 // each chunk's rows of u up to date from that chunk's column and runs
-// only the Xᵀ product on it: one read of the data per iteration
+// only the X̃ᵀ product on it: one read of the data per iteration
 // instead of a MatVec and a MatTVec. The first pass computes u with
-// MatVec, or as −b without a product when w = 0.
+// MatVecRows, or as −b without a product when w = 0.
 //
-// The carried u differs from a recomputed X·w − b by rounding only.
+// The carried u differs from a recomputed X̃·w − b by rounding only.
 // The iterate never reads u, so w is bit-identical to the two-pass
 // loop's whenever the vertex choices are; a choice can differ only on
 // a near-tie at that rounding level. u holds all n rows (8n bytes).
 type fwMargins struct {
 	u      []float64
 	n, C   int  // rows and data.StreamChunks(n): chunk c starts at row c·n/C
-	labels bool // b = y (else b = 0)
-	primed bool // u holds X·w − b for the iterate before the pending step
+	labels bool // b = ỹ (else b = 0)
+	primed bool // u holds X̃·w − b for the iterate before the pending step
+	view   *shrunkRows
 
 	// The pending step, applied chunk by chunk on the next pass: η and
 	// v's nonzero coordinates with their values.
@@ -97,42 +218,47 @@ type fwMargins struct {
 	vals []float64
 }
 
-func newFWMargins(n int, labels bool) *fwMargins {
-	return &fwMargins{u: make([]float64, n), n: n, C: data.StreamChunks(n), labels: labels}
+// newFWMargins carries u over n rows of d features, read through a
+// view at K, resident or not.
+func newFWMargins(n, d int, k float64, resident, labels bool) *fwMargins {
+	C := data.StreamChunks(n)
+	return &fwMargins{u: make([]float64, n), n: n, C: C, labels: labels, view: newShrunkRows(k, d, n, C, resident)}
 }
 
-// chunk returns u's rows for chunk c of the pass (ck), brought up to
-// the current iterate w. Every chunk of every pass must be visited
-// once, in any order, between two steps.
-func (fm *fwMargins) chunk(c int, ck *data.Dataset, w []float64, mw *vecmath.MatWorkspace, workers int) []float64 {
+// chunk loads chunk c of the pass (ck) into the view and returns the
+// view's rows with u's rows for the chunk, brought up to the current
+// iterate w. Every chunk of every pass must be visited once, in chunk
+// order (data.EachChunk's), between two steps; the caller calls
+// view.done once through with the rows.
+func (fm *fwMargins) chunk(c int, ck *data.Dataset, w []float64, mw *vecmath.MatWorkspace, workers int) ([][]float64, []float64) {
+	rows, y := fm.view.load(c, ck)
 	lo, hi := data.ChunkBounds(c, fm.C, fm.n)
 	u := fm.u[lo:hi]
 	if !fm.primed {
 		if vecmath.Norm0(w) == 0 {
-			vecmath.Zero(u) // X·0, without reading X
+			vecmath.Zero(u) // X̃·0, without reading X̃
 		} else {
-			mw.MatVec(u, ck.X, w, workers)
+			mw.MatVecRows(u, rows, w, workers)
 		}
 		if fm.labels {
 			for i := range u {
-				u[i] -= ck.Y[i]
+				u[i] -= y[i]
 			}
 		}
-		return u
+		return rows, u
 	}
-	a, eta, d := 1-fm.eta, fm.eta, ck.X.Cols
-	for i := range u {
-		row := ck.X.Data[i*d : (i+1)*d]
+	a, eta := 1-fm.eta, fm.eta
+	for i, row := range rows {
 		var xv float64
 		for k, j := range fm.cols {
 			xv += row[j] * fm.vals[k]
 		}
 		if fm.labels {
-			xv -= ck.Y[i]
+			xv -= y[i]
 		}
 		u[i] = a*u[i] + eta*xv
 	}
-	return u
+	return rows, u
 }
 
 // step records the Frank–Wolfe step w ← (1−η)·w + η·v, which the next

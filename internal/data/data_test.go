@@ -248,7 +248,7 @@ func TestStandardize(t *testing.T) {
 func TestSimulatedReal(t *testing.T) {
 	for _, spec := range RealSpecs {
 		r := randx.New(11)
-		d := SimulatedReal(r, spec, 0.01)
+		d := mustSimulatedReal(t, r, spec, 0.01)
 		if d.D() != spec.D {
 			t.Fatalf("%s: d = %d", spec.Name, d.D())
 		}
@@ -277,10 +277,19 @@ func TestSimulatedReal(t *testing.T) {
 	}
 }
 
+func mustSimulatedReal(t *testing.T, r *randx.RNG, spec RealSpec, scale float64) *Dataset {
+	t.Helper()
+	ds, err := SimulatedReal(r, spec, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 func TestSimulatedRealDeterministic(t *testing.T) {
 	spec := RealSpecs[0]
-	a := SimulatedReal(randx.New(42), spec, 0.005)
-	b := SimulatedReal(randx.New(42), spec, 0.005)
+	a := mustSimulatedReal(t, randx.New(42), spec, 0.005)
+	b := mustSimulatedReal(t, randx.New(42), spec, 0.005)
 	if vecmath.Dist2(a.X.Data, b.X.Data) != 0 || vecmath.Dist2(a.Y, b.Y) != 0 {
 		t.Fatal("same seed produced different data")
 	}
@@ -324,7 +333,7 @@ func MedianKurtosis(d *Dataset) float64 {
 func TestSimulatedRealHeavyTailed(t *testing.T) {
 	// The point of the simulators: columns must be far from Gaussian.
 	r := randx.New(12)
-	d := SimulatedReal(r, RealSpecs[0], 0.05)
+	d := mustSimulatedReal(t, r, RealSpecs[0], 0.05)
 	if k := MedianKurtosis(d); k < 1 {
 		t.Errorf("median excess kurtosis = %v, expected heavy-tailed (>1)", k)
 	}

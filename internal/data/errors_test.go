@@ -2,6 +2,7 @@ package data
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,17 +94,15 @@ func TestCSVRoundTripMismatchedDimensions(t *testing.T) {
 	}
 }
 
+// TestSimulatedRealScalePanics: a scale that is NaN or outside (0, 1]
+// never panics; SimulatedReal returns an error naming it.
 func TestSimulatedRealScalePanics(t *testing.T) {
 	spec := RealSpecs[0]
-	for _, scale := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("scale=%v: expected panic", scale)
-				}
-			}()
-			SimulatedReal(randx.New(1), spec, scale)
-		}()
+	for _, scale := range []float64{0, -0.5, 1.5, math.NaN()} {
+		ds, err := SimulatedReal(randx.New(1), spec, scale)
+		if err == nil || ds != nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale=%v: dataset %v, error %v; want no dataset and a scale error", scale, ds != nil, err)
+		}
 	}
 }
 

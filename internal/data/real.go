@@ -49,10 +49,11 @@ func LookupReal(name string) (RealSpec, error) {
 // spec, scaled to ⌈scale·N⌉ rows (scale ≤ 1; use 1 for paper-size runs).
 // Columns get heterogeneous heavy tails: every column j is a log-normal
 // scale c_j times either |Student-t(3)| (heavy columns) or log-normal
-// noise, plus a dense planted signal with heavy-tailed label noise.
-func SimulatedReal(r *randx.RNG, spec RealSpec, scale float64) *Dataset {
-	if scale <= 0 || scale > 1 {
-		panic(fmt.Sprintf("data: SimulatedReal scale %v outside (0,1]", scale))
+// noise, plus a dense planted signal with heavy-tailed label noise. A
+// scale that is NaN or outside (0, 1] is an error.
+func SimulatedReal(r *randx.RNG, spec RealSpec, scale float64) (*Dataset, error) {
+	if !(scale > 0 && scale <= 1) {
+		return nil, fmt.Errorf("data: SimulatedReal scale %v outside (0,1]", scale)
 	}
 	n := int(math.Ceil(scale * float64(spec.N)))
 	d := spec.D
@@ -95,7 +96,7 @@ func SimulatedReal(r *randx.RNG, spec RealSpec, scale float64) *Dataset {
 	return &Dataset{
 		Label: fmt.Sprintf("sim-%s(n=%d,d=%d)", spec.Name, n, d),
 		X:     x, Y: y, WStar: w,
-	}
+	}, nil
 }
 
 // colScaleMeans returns the approximate per-column means so the

@@ -76,28 +76,6 @@ func TestCSVSourceChunkBufferReuse(t *testing.T) {
 	sameDataset(t, b, ds.Subset(lo, hi), "recycled chunk")
 }
 
-// TestShrinkSourceBufferReuse: the lazy shrink wrapper recycles its
-// output buffer the same way.
-func TestShrinkSourceBufferReuse(t *testing.T) {
-	gen := LinearSource(4, testLinearOpt(90, 4))
-	sh := ShrinkSource(gen, 0.5)
-	a, err := sh.Chunk(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backing := &a.X.Data[0]
-	b, err := sh.Chunk(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &b.X.Data[0] != backing {
-		t.Fatal("shrink buffer was reallocated instead of recycled")
-	}
-	want := gen.Materialize().Shrink(0.5)
-	lo, hi := ChunkBounds(1, 3, 90)
-	sameDataset(t, b, want.Subset(lo, hi), "recycled shrunk chunk")
-}
-
 // TestGenSourceChunkAllocsFlat: a generated chunk re-seeds one RNG per
 // call instead of constructing one per row, so its allocation count —
 // the chunk's storage plus that RNG — is the same at 8 rows as at 256.

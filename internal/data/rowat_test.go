@@ -40,7 +40,7 @@ func chunkRows(t *testing.T, src Source, T int) (x [][]float64, y []float64) {
 }
 
 // rowAtBackends builds every Source implementation over the same rows:
-// the three backends, a shrink wrapper, a live context wrapper, and
+// the three backends, a live context wrapper, and
 // the decoded CSV and generator handles of a SourcePool.
 func rowAtBackends(t *testing.T, n, d int) map[string]Source {
 	t.Helper()
@@ -61,11 +61,10 @@ func rowAtBackends(t *testing.T, n, d int) map[string]Source {
 		t.Fatal(err)
 	}
 	backends := map[string]Source{
-		"mem":    NewMemSource(ds),
-		"gen":    gen,
-		"csv":    csv,
-		"shrink": ShrinkSource(LinearSource(31, testLinearOpt(n, d)), 2.5),
-		"ctx":    WithContext(context.Background(), NewMemSource(ds)),
+		"mem": NewMemSource(ds),
+		"gen": gen,
+		"csv": csv,
+		"ctx": WithContext(context.Background(), NewMemSource(ds)),
 	}
 	for _, name := range []string{"csv", "gen"} {
 		h, err := pool.Acquire(name)

@@ -379,112 +379,3 @@ func LogisticSource(seed int64, opt LogisticOpt) *GenSource {
 		return -1
 	})
 }
-
-// shrinkSource applies the entry-wise shrinkage of Algorithms 2–3 to
-// every chunk on load, so shrinkage never materializes an n×d copy the
-// way Dataset.Shrink does. Shrinking chunk t of T equals chunk t of the
-// shrunken full dataset (the map is entry-wise), so streamed and
-// in-memory runs agree bit for bit.
-type shrinkSource struct {
-	src Source
-	k   float64
-
-	// One-slot output buffer, recycled across Chunk calls like the CSV
-	// backend's parse buffer (the Source contract already limits a chunk's
-	// lifetime to the next Chunk call).
-	bufX, bufY []float64
-	out        Dataset
-	outX       vecmath.Mat
-
-	// rowBuf backs RowAt's shrunken row, recycled across calls (the
-	// wrapped source's row may be an immutable view, so shrinking in
-	// place is never an option).
-	rowBuf []float64
-}
-
-// ShrinkSource wraps src so every chunk is entry-wise truncated at k:
-// x̃ᵢⱼ = sign(xᵢⱼ)·min(|xᵢⱼ|, k), ỹᵢ likewise. Each Chunk call shrinks a
-// copy of the underlying chunk into one recycled chunk-sized buffer
-// (the wrapped source's cache, if any, stays unshrunken), re-filled on
-// every pass. Only a bare *MemSource — what the sweep trials pass — is
-// shrunken whole, once, up front instead: an n×d clone (43 MB for a
-// fig6 trial at n = 13 500, d = 400) that algorithms streaming it every
-// iteration (LASSO) then read as views. A wrapped MemSource takes the
-// per-chunk path: served runs pass the pool's MemSource inside
-// data.WithContext, so a served lasso over a 9 000×40 set holds one
-// 4 500×40 buffer (1.44 MB). Both paths produce bit-identical chunks:
-// the map is entry-wise.
-func ShrinkSource(src Source, k float64) Source {
-	if ms, ok := src.(*MemSource); ok {
-		return NewMemSource(ms.ds.Shrink(k))
-	}
-	return &shrinkSource{src: src, k: k}
-}
-
-func (s *shrinkSource) N() int { return s.src.N() }
-
-func (s *shrinkSource) D() int { return s.src.D() }
-
-func (s *shrinkSource) Chunk(t, T int) (*Dataset, error) {
-	ck, err := s.src.Chunk(t, T)
-	if err != nil {
-		return nil, err
-	}
-	m, d := ck.X.Rows, ck.X.Cols
-	if cap(s.bufX) < m*d {
-		s.bufX = make([]float64, m*d)
-	}
-	if cap(s.bufY) < m {
-		s.bufY = make([]float64, m)
-	}
-	xd, yd := s.bufX[:m*d], s.bufY[:m]
-	for i, v := range ck.X.Data {
-		if v > s.k {
-			v = s.k
-		} else if v < -s.k {
-			v = -s.k
-		}
-		xd[i] = v
-	}
-	for i, v := range ck.Y {
-		if v > s.k {
-			v = s.k
-		} else if v < -s.k {
-			v = -s.k
-		}
-		yd[i] = v
-	}
-	s.outX = vecmath.Mat{Rows: m, Cols: d, Data: xd}
-	s.out = Dataset{Label: ck.Label, X: &s.outX, Y: yd, WStar: ck.WStar}
-	return &s.out, nil
-}
-
-// RowAt forwards to the wrapped source and shrinks the row into the
-// source's recycled row buffer — entry-wise, so a shrunken RowAt(i)
-// equals row i of a shrunken chunk bit for bit.
-func (s *shrinkSource) RowAt(i int, buf []float64) ([]float64, float64, error) {
-	x, y, err := s.src.RowAt(i, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cap(s.rowBuf) < len(x) {
-		s.rowBuf = make([]float64, len(x))
-	}
-	out := s.rowBuf[:len(x)]
-	for j, v := range x {
-		if v > s.k {
-			v = s.k
-		} else if v < -s.k {
-			v = -s.k
-		}
-		out[j] = v
-	}
-	if y > s.k {
-		y = s.k
-	} else if y < -s.k {
-		y = -s.k
-	}
-	return out, y, nil
-}
-
-func (s *shrinkSource) Close() error { return s.src.Close() }

@@ -249,41 +249,6 @@ func TestCSVSourceErrors(t *testing.T) {
 	}
 }
 
-func TestShrinkSource(t *testing.T) {
-	gen := LinearSource(6, testLinearOpt(120, 4))
-	ds := gen.Materialize()
-	const k = 0.5
-	want := ds.Shrink(k)
-	// The eager (MemSource) fast path and the lazy per-chunk path must
-	// produce the same shrunken chunks bit for bit.
-	for name, sh := range map[string]Source{
-		"mem-eager": ShrinkSource(NewMemSource(ds), k),
-		"gen-lazy":  ShrinkSource(gen, k),
-	} {
-		if sh.N() != 120 || sh.D() != 4 {
-			t.Fatalf("%s: shape %dx%d", name, sh.N(), sh.D())
-		}
-		for tt := 0; tt < 3; tt++ {
-			ck, err := sh.Chunk(tt, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo, hi := ChunkBounds(tt, 3, 120)
-			sameDataset(t, ck, want.Subset(lo, hi), name+" shrunk chunk")
-		}
-	}
-	// The wrapped dataset must stay unshrunken.
-	max := 0.0
-	for _, v := range ds.X.Data {
-		if v > max {
-			max = v
-		}
-	}
-	if max <= k {
-		t.Fatal("test data never exceeds k; shrink invisible")
-	}
-}
-
 // TestCSVSourceReopen: Reopen shares the offset index (no rescan) but
 // serves chunks independently and bit-identically.
 func TestCSVSourceReopen(t *testing.T) {

@@ -37,7 +37,7 @@ func init() {
 func splitVsFullAblation() Spec {
 	return entry("abl-split-vs-full",
 		"Ablation: data-splitting (Algorithm 1) vs full-data robust DP-FW with advanced composition (open problem after Theorem 3)",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d = 200
 			n := cfg.n(10000)
 			return panel{fmt.Sprintf("split (ε-DP) vs full-data ((ε,δ)-DP), n=%d, d=%d", n, d), "eps", "excess risk", []series{
@@ -47,7 +47,7 @@ func splitVsFullAblation() Spec {
 						Loss: loss.Squared{}, Domain: polytope.NewL1Ball(d, 1), Eps: eps, Delta: deltaFor(n), Rng: r,
 					})
 				})},
-			}}
+			}}, nil
 		})
 }
 
@@ -58,7 +58,7 @@ func splitVsFullAblation() Spec {
 func estimatorAblation() Spec {
 	return entry("abl-estimators",
 		"Ablation: Algorithm 1 vs clipping DP-FW [50], DP-GD [1], robust+Gaussian [57] (Fig-1 workload, d=400)",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d = 400
 			n := cfg.n(10000)
 			// Heavier tails than Figure 1 (σ = 1.2 log-normal): the point
@@ -87,7 +87,7 @@ func estimatorAblation() Spec {
 						LR:      0.01, T: 20, S: 10, Rng: r,
 					})
 				})},
-			}}
+			}}, nil
 		})
 }
 
@@ -97,13 +97,13 @@ func estimatorAblation() Spec {
 func alg1VsAlg2Ablation() Spec {
 	return entry("abl-alg1-vs-alg2",
 		"Ablation: Algorithm 1 (ε-DP robust FW) vs Algorithm 2 (shrinkage, (ε,δ)-DP) on the same LASSO workload",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d = 200
 			n := cfg.n(10000)
 			return panel{fmt.Sprintf("theory-better vs practice-better, n=%d, d=%d", n, d), "eps", "excess risk", []series{
 				{"alg1", epsGrid, 0, linearTrial(n, d, fig1Features, fitFW)},
 				{"alg2", epsGrid, 1, linearTrial(n, d, fig1Features, fitLasso)},
-			}}
+			}}, nil
 		})
 }
 
@@ -113,7 +113,7 @@ func alg1VsAlg2Ablation() Spec {
 func shrinkKAblation() Spec {
 	return entry("abl-shrink-k",
 		"Ablation: shrinkage threshold K sweep for Algorithm 2 (bias vs noise trade-off)",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d = 200
 			n := cfg.n(10000)
 			// Theory default K* = (nε)^{1/4}/T^{1/8} at ε = 1 for this n.
@@ -128,7 +128,7 @@ func shrinkKAblation() Spec {
 				{"alg2", xs, 0, linearTrial(n, d, fig1Features, func(src data.Source, r *randx.RNG, k float64) ([]float64, error) {
 					return core.LassoSource(src, core.LassoOptions{Eps: 1, Delta: deltaFor(n), K: k, T: T, Rng: r})
 				})},
-			}}
+			}}, nil
 		})
 }
 
@@ -138,7 +138,7 @@ func shrinkKAblation() Spec {
 func selectionAblation() Spec {
 	return entry("abl-selection",
 		"Ablation: Algorithm 3 vs exact IHT — the price of private selection and release",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d, sStar = 400, 10
 			n := cfg.n(50000)
 			feature := randx.Normal{Mu: 0, Sigma: math.Sqrt(5)}
@@ -168,7 +168,7 @@ func selectionAblation() Spec {
 					w := core.NonprivateIHT(ds, 2*sStar, 30, 0.15)
 					return estErr(w, ds.WStar), nil
 				}},
-			}}
+			}}, nil
 		})
 }
 
@@ -181,7 +181,7 @@ func selectionAblation() Spec {
 func lowerBoundCheck() Spec {
 	return entry("lowerbound",
 		"Theorem 9 check: sparse-mean-estimation error of Algorithm 5 vs the private minimax floor",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d, sStar = 200, 5
 			tau := 1.0
 			// Paper-scale sizes {2e4, 5e4, 1e5, 2e5}; the default
@@ -213,6 +213,6 @@ func lowerBoundCheck() Spec {
 				{"theorem9-floor", ns, 1, func(_ *randx.RNG, nf float64) (float64, error) {
 					return minimax.LowerBound(tau, sStar, d, int(nf), 1, deltaFor(int(nf))), nil
 				}},
-			}}
+			}}, nil
 		})
 }

@@ -25,7 +25,7 @@ func init() {
 	const d = 100
 	s := entry("dpsgd",
 		"Minibatch DP-SGD via random row access: batch-size ablation and subsampling-amplification accounting (GenSource default; -stream substitutes a CSV)",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			n := cfg.n(5000)
 			// Batch sizes as fractions of n, so the subsampling rates the
 			// panel sweeps are scale-invariant: q from 1/100 up to 1/4.
@@ -35,12 +35,12 @@ func init() {
 				math.Max(1, float64(n)/4),
 			}
 			return panel{fmt.Sprintf("minibatch ablation at eps=1 via %s, default n=%d, d=%d", backend(cfg), n, d), "batch size", "excess risk",
-				dpsgdSeries(cfg, n, d, batchGrid, 0, func(b float64) (float64, int) { return 1, int(b) })}
+				dpsgdSeries(cfg, n, d, batchGrid, 0, func(b float64) (float64, int) { return 1, int(b) })}, nil
 		},
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			n := cfg.n(5000)
 			return panel{fmt.Sprintf("amplification accounting at batch n/50 via %s, default n=%d, d=%d", backend(cfg), n, d), "eps", "excess risk",
-				dpsgdSeries(cfg, n, d, epsGrid, 2, func(eps float64) (float64, int) { return eps, 0 })} // batch 0 → the n/50 default
+				dpsgdSeries(cfg, n, d, epsGrid, 2, func(eps float64) (float64, int) { return eps, 0 })}, nil // batch 0 → the n/50 default
 		})
 	s.UsesSource = true
 	register(s)

@@ -102,23 +102,23 @@ func denseFigure(id, desc string, paperN int, dims []int, dc int,
 	private func(r *randx.RNG, n, d int, eps float64) (float64, error),
 	nonPrivate func(r *randx.RNG, n, d int) (float64, error)) Spec {
 	return entry(id, desc,
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			n0 := cfg.n(paperN)
 			return panel{fmt.Sprintf("error vs ε, n=%d", n0), "eps", "excess risk", perDim(dims, epsGrid, 0, func(r *randx.RNG, d int, eps float64) (float64, error) {
 				return private(r, n0, d, eps)
-			})}
+			})}, nil
 		},
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			return panel{"error vs n, ε=1", "n", "excess risk", perDim(dims, nGrid(cfg, float64(paperN), 1, 3, 5, 7, 9), 100, func(r *randx.RNG, d int, n float64) (float64, error) {
 				return private(r, int(n), d, 1)
-			})}
+			})}, nil
 		},
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			ns := nGrid(cfg, float64(paperN), 1, 3, 5, 7, 9)
 			return panel{fmt.Sprintf("private (ε=1) vs non-private, d=%d", dc), "n", "excess risk", []series{
 				{"private", ns, 200, func(r *randx.RNG, n float64) (float64, error) { return private(r, int(n), dc, 1) }},
 				{"non-private", ns, 300, func(r *randx.RNG, n float64) (float64, error) { return nonPrivate(r, int(n), dc) }},
-			}}
+			}}, nil
 		})
 }
 
@@ -129,22 +129,22 @@ func denseFigure(id, desc string, paperN int, dims []int, dc int,
 func sparseFigure(id, desc string, paperN int, nBase float64, nMults []float64,
 	fit func(r *randx.RNG, n, d, sStar int, eps float64) (float64, error)) Spec {
 	return entry(id, desc,
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			n0 := cfg.n(paperN)
 			return panel{fmt.Sprintf("error vs ε, n=%d, s*=20", n0), "eps", "excess risk", perDim(dimGrid, epsGrid, 0, func(r *randx.RNG, d int, eps float64) (float64, error) {
 				return fit(r, n0, d, 20, eps)
-			})}
+			})}, nil
 		},
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			return panel{"error vs n, ε=1, s*=20", "n", "excess risk", perDim(dimGrid, nGrid(cfg, nBase, nMults...), 100, func(r *randx.RNG, d int, n float64) (float64, error) {
 				return fit(r, int(n), d, 20, 1)
-			})}
+			})}, nil
 		},
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			n0 := cfg.n(paperN)
 			return panel{fmt.Sprintf("error vs sparsity, ε=1, n=%d", n0), "s*", "excess risk", perDim(dimGrid, sStarGrid, 200, func(r *randx.RNG, d int, s float64) (float64, error) {
 				return fit(r, n0, d, int(s), 1)
-			})}
+			})}, nil
 		})
 }
 
@@ -250,16 +250,19 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 	if logistic {
 		l = loss.Logistic{}
 	}
-	panels := make([]func(Config) panel, len(names))
+	panels := make([]func(Config) (panel, error), len(names))
 	for pi, name := range names {
 		spec, err := data.LookupReal(name)
 		if err != nil {
 			panic(err) // the registry names a dataset data does not simulate
 		}
-		panels[pi] = func(cfg Config) panel {
+		panels[pi] = func(cfg Config) (panel, error) {
 			// Real data are fixed: one deterministic dataset per panel,
 			// fresh algorithm randomness per trial.
-			ds := data.SimulatedReal(randx.New(777+int64(pi)), spec, cfg.Scale*0.1)
+			ds, err := data.SimulatedReal(randx.New(777+int64(pi)), spec, cfg.Scale*0.1)
+			if err != nil {
+				return panel{}, err
+			}
 			data.Standardize(ds)
 			dom := polytope.NewL1Ball(ds.D(), 1)
 			refRisk := loss.Empirical(l, core.NonprivateFW(ds, l, dom, 150, nil), ds.X, ds.Y)
@@ -276,7 +279,7 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 					return loss.Empirical(l, w, ds.X, ds.Y) - refRisk, nil
 				}})
 			}
-			return p
+			return p, nil
 		}
 	}
 	return entry(id, desc, panels...)

@@ -325,9 +325,10 @@ type series struct {
 // panel's sweeps, so an entry that generates a dataset per panel holds
 // one at a time — sweeps its series, names it (Figure = id, Name = a,
 // b, …) and reports it to Config.Progress. The first failure ends the
-// run with no panels; a panic while building a panel (trial panics are
-// the engine's, see safeTrial) comes back as an error too.
-func entry(id, desc string, panels ...func(Config) panel) Spec {
+// run with no panels, a build error included; a panic while building a
+// panel (trial panics are the engine's, see safeTrial) comes back as an
+// error too.
+func entry(id, desc string, panels ...func(Config) (panel, error)) Spec {
 	run := func(cfg Config) (out []Panel, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -341,7 +342,10 @@ func entry(id, desc string, panels ...func(Config) panel) Spec {
 			if cfg.context().Err() != nil {
 				return nil, context.Cause(cfg.context())
 			}
-			decl := build(cfg)
+			decl, err := build(cfg)
+			if err != nil {
+				return nil, err
+			}
 			p := Panel{Figure: id, Name: string(rune('a' + i)), Title: decl.title, XLabel: decl.xLabel, YLabel: decl.yLabel}
 			for _, s := range decl.series {
 				swept, err := sweep(cfg, s.name, s.xs, s.seedOff, s.trial)

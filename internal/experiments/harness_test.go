@@ -74,9 +74,9 @@ func TestConfigDefaults(t *testing.T) {
 // TestRunRejectsBadConfig: every registry entry's Run answers reps below
 // 1 and a NaN scale with an error naming the knob, before any trial
 // (they panicked in newResults and in data.SimulatedReal, or ran NaN
-// as n = 100), and SweepRequest.Canonical applies the same check. A
-// panic while a panel is built comes back as an error too: fig3's
-// simulated dataset rejects the 0 that a subnormal scale rounds to.
+// as n = 100), and SweepRequest.Canonical applies the same check.
+// fig3's simulated dataset rejects the 0 that a subnormal scale rounds
+// to with an error of its own, not a recovered panic.
 func TestRunRejectsBadConfig(t *testing.T) {
 	for _, spec := range Registry() {
 		for knob, cfg := range map[string]Config{
@@ -96,8 +96,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Errorf("Canonical accepted a NaN scale: %v", err)
 	}
 	spec, _ := Lookup("fig3")
-	if _, err := spec.Run(Config{Reps: 1, Scale: 5e-324}); err == nil || !strings.Contains(err.Error(), "SimulatedReal") {
-		t.Errorf("fig3 at a subnormal scale: error %v, want the dataset's", err)
+	if _, err := spec.Run(Config{Reps: 1, Scale: 5e-324}); err == nil || !strings.Contains(err.Error(), "SimulatedReal") || strings.Contains(err.Error(), "panicked") {
+		t.Errorf("fig3 at a subnormal scale: error %v, want the dataset's, not a panic", err)
 	}
 }
 

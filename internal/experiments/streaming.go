@@ -20,13 +20,13 @@ import (
 func init() {
 	s := entry("streaming",
 		"Streaming sources: DP-FW and private LASSO consuming out-of-core chunks (GenSource default; -stream substitutes a CSV)",
-		func(cfg Config) panel {
+		func(cfg Config) (panel, error) {
 			const d = 200
 			n := cfg.n(10000)
 			return panel{fmt.Sprintf("out-of-core chunks via %s, default n=%d, d=%d", backend(cfg), n, d), "eps", "excess risk", []series{
 				{"dpfw-stream", epsGrid, 0, sourceTrial(cfg, n, d, fitFW)},
 				{"lasso-stream", epsGrid, 1, sourceTrial(cfg, n, d, fitLasso)},
-			}}
+			}}, nil
 		})
 	s.UsesSource = true
 	register(s)

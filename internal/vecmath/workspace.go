@@ -23,8 +23,15 @@ import (
 // are unchanged. What differs is where the partials and closures live
 // and, in MatVec and MatTVec, how many rows one pass covers. One
 // workspace serves one goroutine; it is not safe for concurrent use.
+//
+// Each kernel has one body for two row sources: a *Mat (MatVec,
+// MatTVec) or a row view, one slice per row wherever it lives
+// (MatVecRows, MatTVecRows). The body picks the source once per block
+// of four rows, so a view over the rows of a matrix gives the matrix's
+// result bit for bit.
 type MatWorkspace struct {
-	m      *Mat
+	m      *Mat        // the matrix operand, or nil for a row view
+	rows   [][]float64 // the row-view operand, or nil for a matrix
 	v, dst []float64
 	red    parallel.VecReducer
 
@@ -44,23 +51,39 @@ func (ws *MatWorkspace) MatVec(dst []float64, m *Mat, v []float64, workers int) 
 	if len(v) != m.Cols {
 		panic("vecmath: MatVec dim mismatch")
 	}
-	if dst == nil {
-		dst = make([]float64, m.Rows)
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("vecmath: MatVec dst length %d != rows %d", len(dst), m.Rows))
-	}
-	ws.m, ws.v, ws.dst = m, v, dst
+	dst = sizedDst("MatVec", dst, m.Rows, "rows")
+	ws.m = m
+	ws.matVec(dst, v, workers)
+	return dst
+}
+
+// MatVecRows computes dst[i] = ⟨rows[i], v⟩ with MatVec's body, so it
+// equals MatVec over the same rows stored as one matrix, bit for bit.
+// Every row must hold exactly len(v) entries. dst is allocated when
+// nil; otherwise it must hold exactly len(rows) entries.
+func (ws *MatWorkspace) MatVecRows(dst []float64, rows [][]float64, v []float64, workers int) []float64 {
+	dst = sizedDst("MatVecRows", dst, len(rows), "rows")
+	ws.rows = rows
+	ws.matVec(dst, v, workers)
+	return dst
+}
+
+// matVec runs the MatVec body over the operand in ws.m or ws.rows.
+func (ws *MatWorkspace) matVec(dst, v []float64, workers int) {
+	ws.v, ws.dst = v, dst
 	if ws.matvecBody == nil {
 		ws.matvecBody = func(_, lo, hi int) {
-			m, v, dst := ws.m, ws.v, ws.dst
+			m, rows, v, dst := ws.m, ws.rows, ws.v, ws.dst
 			d := len(v)
 			i := lo
 			for ; i+4 <= hi; i += 4 {
-				r0 := m.Row(i)[:d]
-				r1 := m.Row(i + 1)[:d]
-				r2 := m.Row(i + 2)[:d]
-				r3 := m.Row(i + 3)[:d]
+				var r0, r1, r2, r3 []float64
+				if rows != nil {
+					r0, r1, r2, r3 = rows[i], rows[i+1], rows[i+2], rows[i+3]
+				} else {
+					r0, r1, r2, r3 = m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+				}
+				r0, r1, r2, r3 = r0[:d], r1[:d], r2[:d], r3[:d]
 				var s0, s1, s2, s3 float64
 				for j, vj := range v {
 					s0 += r0[j] * vj
@@ -71,13 +94,16 @@ func (ws *MatWorkspace) MatVec(dst []float64, m *Mat, v []float64, workers int) 
 				dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 			}
 			for ; i < hi; i++ {
-				dst[i] = Dot(m.Row(i), v)
+				if rows != nil {
+					dst[i] = Dot(rows[i], v)
+				} else {
+					dst[i] = Dot(m.Row(i), v)
+				}
 			}
 		}
 	}
-	parallel.For(workers, m.Rows, ws.matvecBody)
-	ws.m, ws.v, ws.dst = nil, nil, nil
-	return dst
+	parallel.For(workers, len(dst), ws.matvecBody)
+	ws.m, ws.rows, ws.v, ws.dst = nil, nil, nil, nil
 }
 
 // MatTVec computes dst = Mᵀ·v like (*Mat).MatTVecP, bit-identically,
@@ -93,21 +119,38 @@ func (ws *MatWorkspace) MatTVec(dst []float64, m *Mat, v []float64, workers int)
 	if len(v) != m.Rows {
 		panic("vecmath: MatTVec dim mismatch")
 	}
-	if dst == nil {
-		dst = make([]float64, m.Cols)
+	dst = sizedDst("MatTVec", dst, m.Cols, "cols")
+	ws.m = m
+	ws.matTVec(dst, v, workers)
+	return dst
+}
+
+// MatTVecRows computes dst = Σᵢ v[i]·rows[i] with MatTVec's body, so it
+// equals MatTVec over the same rows stored as one matrix, bit for bit.
+// len(v) must be len(rows), and every row must hold exactly len(dst)
+// entries; dst must be non-nil.
+func (ws *MatWorkspace) MatTVecRows(dst []float64, rows [][]float64, v []float64, workers int) []float64 {
+	if len(v) != len(rows) {
+		panic("vecmath: MatTVecRows dim mismatch")
 	}
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("vecmath: MatTVec dst length %d != cols %d", len(dst), m.Cols))
-	}
-	if m.Rows == 0 {
+	ws.rows = rows
+	ws.matTVec(dst, v, workers)
+	return dst
+}
+
+// matTVec runs the MatTVec body over the operand in ws.m or ws.rows.
+func (ws *MatWorkspace) matTVec(dst, v []float64, workers int) {
+	n := len(v)
+	if n == 0 {
 		Zero(dst)
-		return dst
+		ws.m, ws.rows = nil, nil
+		return
 	}
-	ws.red.Setup(parallel.NumShards(m.Rows), dst)
-	ws.m, ws.v = m, v
+	ws.red.Setup(parallel.NumShards(n), dst)
+	ws.v = v
 	if ws.mattvecBody == nil {
 		ws.mattvecBody = func(shard, lo, hi int) {
-			m, v := ws.m, ws.v
+			m, rows, v := ws.m, ws.rows, ws.v
 			acc := ws.red.Accs()[shard]
 			if shard > 0 {
 				Zero(acc)
@@ -116,10 +159,13 @@ func (ws *MatWorkspace) MatTVec(dst []float64, m *Mat, v []float64, workers int)
 			i := lo
 			for ; i+4 <= hi; i += 4 {
 				c0, c1, c2, c3 := v[i], v[i+1], v[i+2], v[i+3]
-				r0 := m.Row(i)[:d]
-				r1 := m.Row(i + 1)[:d]
-				r2 := m.Row(i + 2)[:d]
-				r3 := m.Row(i + 3)[:d]
+				var r0, r1, r2, r3 []float64
+				if rows != nil {
+					r0, r1, r2, r3 = rows[i], rows[i+1], rows[i+2], rows[i+3]
+				} else {
+					r0, r1, r2, r3 = m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+				}
+				r0, r1, r2, r3 = r0[:d], r1[:d], r2[:d], r3[:d]
 				for j := range acc {
 					a := acc[j]
 					a += c0 * r0[j]
@@ -130,12 +176,29 @@ func (ws *MatWorkspace) MatTVec(dst []float64, m *Mat, v []float64, workers int)
 				}
 			}
 			for ; i < hi; i++ {
-				Axpy(v[i], m.Row(i), acc)
+				if rows != nil {
+					Axpy(v[i], rows[i], acc)
+				} else {
+					Axpy(v[i], m.Row(i), acc)
+				}
 			}
 		}
 	}
-	parallel.For(workers, m.Rows, ws.mattvecBody)
+	parallel.For(workers, n, ws.mattvecBody)
 	ws.red.Merge(dst)
-	ws.m, ws.v = nil, nil
+	ws.m, ws.rows, ws.v = nil, nil, nil
+}
+
+// sizedDst returns dst, allocated with n entries when nil, after
+// checking its length on the calling goroutine: a wrong length would
+// otherwise index out of range inside a worker, where no recover can
+// catch it.
+func sizedDst(kernel string, dst []float64, n int, what string) []float64 {
+	if dst == nil {
+		return make([]float64, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("vecmath: %s dst length %d != %s %d", kernel, len(dst), what, n))
+	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -223,6 +224,56 @@ func interleavedMatTVec(m *Mat, u []float64) []float64 {
 	return even
 }
 
+// TestMatWorkspaceRowsBitIdentical: MatVecRows and MatTVecRows run the
+// MatVec and MatTVec bodies over a row view, so over a view of a
+// matrix's rows they must give MatVec's and MatTVec's results bit for
+// bit, wherever the rows live: in the matrix, every row copied out to
+// separate storage, or every third row copied, which puts views of
+// both kinds in one block of four. Warm calls allocate nothing.
+func TestMatWorkspaceRowsBitIdentical(t *testing.T) {
+	var ws MatWorkspace
+	seed := int64(500)
+	for _, r := range []int{1, 3, 4, 5, 63, 64, 65, 8193} {
+		for _, c := range []int{1, 3, 40} {
+			seed++
+			m, v, u := heavyProblem(seed, r, c)
+			copies := m.Clone()
+			for _, copyEvery := range []int{0, 1, 3} {
+				rows := make([][]float64, r)
+				for i := range rows {
+					rows[i] = m.Row(i)
+					if copyEvery > 0 && i%copyEvery == 0 {
+						rows[i] = copies.Row(i)
+					}
+				}
+				for _, w := range []int{1, 4} {
+					ctx := fmt.Sprintf("%dx%d copy every %d w=%d", r, c, copyEvery, w)
+					if n, i := diffs(ws.MatVecRows(make([]float64, r), rows, v, w), ws.MatVec(nil, m, v, w)); n > 0 {
+						t.Fatalf("%s: MatVecRows differs from MatVec in %d rows, first %d", ctx, n, i)
+					}
+					if n, i := diffs(ws.MatTVecRows(make([]float64, c), rows, u, w), ws.MatTVec(nil, m, u, w)); n > 0 {
+						t.Fatalf("%s: MatTVecRows differs from MatTVec in %d cols, first %d", ctx, n, i)
+					}
+				}
+			}
+		}
+	}
+	m, v, u := heavyProblem(9, 300, 200)
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	dstR, dstC := make([]float64, m.Rows), make([]float64, m.Cols)
+	ws.MatVecRows(dstR, rows, v, 1)
+	ws.MatTVecRows(dstC, rows, u, 1)
+	if allocs := testing.AllocsPerRun(10, func() { ws.MatVecRows(dstR, rows, v, 1) }); allocs != 0 {
+		t.Errorf("MatVecRows allocates %v per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ws.MatTVecRows(dstC, rows, u, 1) }); allocs != 0 {
+		t.Errorf("MatTVecRows allocates %v per call", allocs)
+	}
+}
+
 // TestMatWorkspaceDstLengthPanics: a dst of the wrong length is
 // rejected on the calling goroutine before any shard runs, so the
 // caller's recover catches it even at workers > 1 (a panic inside a
@@ -236,6 +287,7 @@ func TestMatWorkspaceDstLengthPanics(t *testing.T) {
 	}{
 		{"MatVec short dst", func() { ws.MatVec(make([]float64, 299), m, make([]float64, 8), 4) }},
 		{"MatTVec long dst", func() { ws.MatTVec(make([]float64, 9), m, make([]float64, 300), 4) }},
+		{"MatVecRows short dst", func() { ws.MatVecRows(make([]float64, 2), make([][]float64, 3), make([]float64, 8), 4) }},
 	}
 	for _, c := range cases {
 		func() {
