@@ -36,9 +36,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Extra carries custom b.ReportMetric measurements (the sweep
-	// benchmark reports passes/op and trials/op — data reads and trials
-	// per sweep). Recorded in the trajectory for inspection; Compare
+	// Extra carries custom b.ReportMetric measurements: ns/row on the
+	// data entries, and peak-heap-MB on the figure entries (the largest
+	// heap-objects reading, unswept objects included, sampled every
+	// millisecond). Recorded in the trajectory for inspection; Compare
 	// does not gate on it.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"sync"
 	"testing"
+	"time"
 
 	"htdp/internal/core"
 	"htdp/internal/data"
@@ -35,6 +37,9 @@ func init() {
 		spec := spec
 		Register("fig:"+spec.ID, func(b *testing.B) {
 			b.ReportAllocs()
+			b.StopTimer() // the sampler's start and stop stay out of B/op and allocs/op
+			peak := sampleHeapPeak()
+			b.StartTimer()
 			for i := 0; i < b.N; i++ {
 				panels, err := spec.Run(figCfg)
 				if err != nil {
@@ -44,6 +49,8 @@ func init() {
 					b.Fatal("no panels")
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(peak())/1e6, "peak-heap-MB")
 		})
 	}
 
@@ -67,6 +74,38 @@ func init() {
 	Register("iter:lasso", benchIterLasso)
 	Register("iter:iht", benchIterIHT)
 	Register("iter:nonprivate-fw", benchIterNonprivateFW)
+}
+
+// sampleHeapPeak starts sampling the runtime's
+// /memory/classes/heap/objects:bytes, the bytes of live objects and of
+// dead ones not yet swept, every millisecond. The returned stop
+// function ends the sampling and returns the largest value seen. Only
+// the start and the stop allocate, so a sample moves no allocation
+// count.
+func sampleHeapPeak() (stop func() uint64) {
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var top uint64
+		for {
+			metrics.Read(s)
+			if v := s[0].Value.Uint64(); v > top {
+				top = v
+			}
+			select {
+			case <-done:
+				peak <- top
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
+	}
 }
 
 // genDemoLinear is cmd/htdp's built-in demo-linear dataset: 2000 rows

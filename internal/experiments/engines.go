@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 
@@ -16,6 +18,14 @@ import (
 // residency is not the engine's business: a trial opens its source per
 // point, and a seed-invariant source served by a data.SourcePool is
 // decoded once per process, not once per trial.
+//
+// A worker collects garbage at the boundary after a trial that
+// allocated collectAfter bytes or more: the finished trial's dataset
+// (n·d·8 bytes, 43 MB for fig6 at n = 13 500, d = 400) is dead once the
+// trial returns, and Go's default pacing would let it stay allocated
+// beside the next trial's until the heap doubles. Collecting bounds
+// the heap to about one trial's data per worker (DESIGN.md, "Batched
+// sweeps").
 //
 // Every trial's RNG derives from pointSeed — a pure function of
 // (series, point, rep), never of the schedule — so results are
@@ -47,6 +57,15 @@ type trialFn func(r *randx.RNG, x float64) (float64, error)
 func pointSeed(seed, seedOff int64, xi, rep int) int64 {
 	return seed + seedOff*1_000_003 + int64(xi)*10_007 + int64(rep)
 }
+
+// collectAfter is the allocation, in bytes, from which a trial's
+// garbage is collected before the worker's next trial: the runtime's
+// minimum heap goal at GOGC=100. A trial under it leaves less garbage
+// than the collector holds back on an empty heap. Small trials are
+// common and often short, and a collection stops every worker, so
+// collecting after each of them made the smallest figure benchmarks
+// up to 58% slower.
+const collectAfter = 4 << 20
 
 // safeTrial evaluates one trial with a recover barrier on the calling
 // goroutine — the fix for the crash class where a trial panic inside a
@@ -108,6 +127,7 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 			for rep := range reps {
 				for xi := range xs {
 					if failed.Load() {
@@ -117,7 +137,12 @@ func sweepBatched(cfg Config, xs []float64, seedOff int64, f trialFn) ([][]float
 						failed.Store(true) // cancelled: stop every worker at its next check
 						break
 					}
+					metrics.Read(allocs)
+					before := allocs[0].Value.Uint64()
 					y, err := safeTrial(f, randx.New(pointSeed(cfg.Seed, seedOff, xi, rep)), xs[xi])
+					if metrics.Read(allocs); allocs[0].Value.Uint64()-before >= collectAfter {
+						runtime.GC() // free this trial's data before the next trial draws its own
+					}
 					if err != nil {
 						errs[rep] = fmt.Errorf("x=%v rep %d: %w", xs[xi], rep, err)
 						failed.Store(true)

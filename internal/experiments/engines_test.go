@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,5 +78,57 @@ func TestRunSweepTrialError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
+	}
+}
+
+// TestSweepReclaimsTrialData: the engine collects at every trial
+// boundary, so a finished trial's data is freed before the worker's
+// next trial allocates its own. Each trial reads the heap on entry,
+// then allocates and fills 32 MiB. Sequentially, every trial after the
+// first must start near the baseline; with two workers, a trial may
+// find only the other worker's slice still allocated.
+func TestSweepReclaimsTrialData(t *testing.T) {
+	const trialFloats = 4 << 20 // 32 MiB of float64s
+	for _, tc := range []struct {
+		name              string
+		reps, parallelism int
+		first             int    // grid index of the first checked trial
+		limit             uint64 // heap bytes a checked trial may start with
+	}{
+		{"sequential", 1, 1, 1, 16 << 20},
+		{"two-workers", 2, 2, 0, 48 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Config{Reps: tc.reps, Scale: 0.1, Seed: 1, Parallelism: tc.parallelism}.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := func(_ *randx.RNG, x float64) (float64, error) {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				buf := make([]float64, trialFloats)
+				for i := range buf {
+					buf[i] = x
+				}
+				if buf[len(buf)-1] != x {
+					return 0, errors.New("fill lost")
+				}
+				return float64(ms.HeapAlloc), nil
+			}
+			xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+			runtime.GC()
+			results, err := sweepBatched(cfg, xs, 0, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for xi := tc.first; xi < len(xs); xi++ {
+				for rep, heap := range results[xi] {
+					if heap >= float64(tc.limit) {
+						t.Errorf("trial x=%v rep %d started with %.1f MiB of heap, want < %d MiB (the previous trial's data was not freed)",
+							xs[xi], rep, heap/(1<<20), tc.limit>>20)
+					}
+				}
+			}
+		})
 	}
 }

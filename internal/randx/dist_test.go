@@ -195,3 +195,28 @@ func TestSampleVec(t *testing.T) {
 		t.Fatal("SampleVec produced constant output")
 	}
 }
+
+// TestStudentTSampleVecMatchesScalar: SampleVec's Student-t path draws
+// exactly what r.StudentT does, bit for bit, in the same order, across
+// both χ² branches (ν < 2 boosts the Gamma shape) and vectors of every
+// length a call may ask for.
+func TestStudentTSampleVecMatchesScalar(t *testing.T) {
+	const perSeed = 250_000 // four seeds: 10⁶ draws per ν
+	lengths := []int{1, 3, 400, 1000}
+	for _, nu := range []float64{0.5, 1, 2, 3, 10} {
+		for seed := int64(1); seed <= 4; seed++ {
+			vec, scalar := New(seed), New(seed)
+			buf := make([]float64, 1000)
+			for drawn, k := 0, 0; drawn < perSeed; k++ {
+				v := SampleVec(StudentT{Nu: nu}, vec, buf[:lengths[k%len(lengths)]])
+				for i, got := range v {
+					if want := scalar.StudentT(nu); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("ν=%g seed %d draw %d: SampleVec %v (%#x), StudentT %v (%#x)",
+							nu, seed, drawn+i, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+				drawn += len(v)
+			}
+		}
+	}
+}

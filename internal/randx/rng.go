@@ -127,7 +127,13 @@ func (r *RNG) Gamma(shape float64) float64 {
 		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
+	return r.marsagliaTsang(d, 1/math.Sqrt(9*d))
+}
+
+// marsagliaTsang is Gamma's squeeze loop for shape d + 1/3 ≥ 1, with
+// c = 1/√(9d): a caller drawing many variates of one shape computes the
+// two constants once.
+func (r *RNG) marsagliaTsang(d, c float64) float64 {
 	for {
 		var x, v float64
 		for {
